@@ -36,6 +36,7 @@ from .enumeration import (
     ShortVector,
     ShortVectorList,
     EnumerationCap,
+    CertificateError,
     short_vectors,
     lattice_minimum,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "ShortVector",
     "ShortVectorList",
     "EnumerationCap",
+    "CertificateError",
     "short_vectors",
     "lattice_minimum",
     "SearchCertificate",

@@ -8,21 +8,32 @@ tuples with a product-of-norms prune:
 * a minimising sublattice has a Minkowski-reduced basis whose norms are
   the successive minima (true for rank <= 4), so the product of its norms
   is at most H_l * d_l with H_l = (4/3)**(l*(l-1)/2), and each norm is at
-  most H_l * d_l / lambda1**(2(l-1));
+  most R(d_l) = H_l * d_l / lambda1**(2(l-1));
 * tuples whose partial norm product already exceeds the H_l budget cannot
   be that reduced basis and are pruned; rank-deficient prefixes are
   skipped; exact Gram determinants are evaluated at the leaves.
 
-The reported value is therefore exact.  Afterwards the search is rerun
-once with the per-vector bound doubled; `confirmed_by_escalation` records
-that the doubling changed nothing, making the certificate independent of
-the sharpness of H_l.
+The candidate pool grows from what has been proven, not from the upper
+bound u0 (the Gram determinant of the first l basis rows, or the hint if
+smaller).  Starting at the minimal norm r = lambda1**2, the search
+enumerates the pool of radius r, lowers the value by a scan of that pool,
+and stops once R(value) <= r; otherwise it sets r = min(R(value), 2r) and
+repeats.  Every value is the determinant of a sublattice or u0, so
+value >= d_l and the final pool holds every vector of norm <= R(d_l): the
+reported value is exact.  As the value only falls, r never exceeds R(u0),
+the radius a single pool sized from u0 would need.
+
+Afterwards the search is rerun once with the per-vector bound doubled;
+`confirmed_by_escalation` records that the doubling changed nothing,
+making the certificate independent of the sharpness of H_l.
 
 Determinism: the witness scan runs at a radius derived from the proven
 value (never from hints), with a fixed prune threshold, and reports the
 lexicographically smallest sorted row list among minimal tuples.  Hints,
 caching and the number of worker threads therefore never change the
-returned value or witness, only the work performed.
+returned value or witness, only the work performed.  The witness is
+re-checked against the value by an exact determinant; a mismatch raises
+CertificateError.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .enumeration import lattice_minimum, short_vectors
+from .enumeration import CertificateError, lattice_minimum, short_vectors
 from .lattices import (
     IntegralLattice,
     det_int,
@@ -215,11 +226,14 @@ def _value_scan(pool: _Pool, l: int, h: Fraction, init: int, threads: int) -> in
             else:
                 rec(k + 1, nk, [k], (nk,))
 
-    if threads > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(run, _split(m, threads)))
-    else:
-        run(range(m))
+    try:
+        if threads > 1 and m > 1:
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                list(ex.map(run, _split(m, threads)))
+        else:
+            run(range(m))
+    finally:
+        del rec  # rec refers to itself; unbinding it frees the pool by refcount
     return best[0]
 
 
@@ -272,11 +286,14 @@ def _witness_scan(pool: _Pool, l: int, value: int, h: Fraction, threads: int):
                 rec(k + 1, nk, [k], (nk,), state)
         return state
 
-    if threads > 1 and m > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            states = list(ex.map(run, _split(m, threads)))
-    else:
-        states = [run(range(m))]
+    try:
+        if threads > 1 and m > 1:
+            with ThreadPoolExecutor(max_workers=threads) as ex:
+                states = list(ex.map(run, _split(m, threads)))
+        else:
+            states = [run(range(m))]
+    finally:
+        del rec  # as in _value_scan
     keys = [s[0] for s in states if s[0] is not None]
     examined = sum(s[1] for s in states)
     if not keys:
@@ -295,8 +312,8 @@ def minimal_sublattice(
 
     upper_hint, when given, must be a valid upper bound on the answer (for
     Construction A lattices q**(2l) always is); it can only shrink the
-    initial enumeration.  l is capped at 4, the range where the norm
-    product budget H_FACTOR is valid.
+    enumerations before the value is proven.  l is capped at 4, the range
+    where the norm product budget H_FACTOR is valid.
     """
     n = lattice.n
     if not 1 <= l <= min(4, n):
@@ -311,8 +328,15 @@ def minimal_sublattice(
         u0 = min(u0, int(upper_hint))
     h = H_FACTOR[l]
 
-    pool = _Pool.from_vectors(short_vectors(lattice, _radius(h, u0, lam, l), cap).vectors)
-    value = _value_scan(pool, l, h, u0, threads)
+    # Grow the pool from lambda_1 (module docstring); r <= _radius(h, u0).
+    r, value = lam, u0
+    while True:
+        pool = _Pool.from_vectors(short_vectors(lattice, r, cap).vectors)
+        value = _value_scan(pool, l, h, value, threads)
+        need = _radius(h, value, lam, l)
+        if need <= r:
+            break
+        r = min(need, 2 * r)
 
     confirmed = True
     while True:
@@ -333,7 +357,10 @@ def minimal_sublattice(
     witness_rows, examined = _witness_scan(narrow, l, value, h, threads)
 
     witness = sublattice_from_rows(lattice, witness_rows)
-    assert witness.det_l == value
+    if witness.det_l != value:
+        raise CertificateError(
+            f"witness determinant {witness.det_l} differs from the value {value}"
+        )
     return SearchCertificate(l, value, witness, bv, examined, confirmed)
 
 

@@ -10,7 +10,8 @@ from codelattice.enumeration import (
     lattice_minimum,
     short_vectors,
 )
-from codelattice.lattices import IntegralLattice, construction_a
+from codelattice.lattices import IntegralLattice, RankDeficient, construction_a
+from enumeration_oracle import fraction_short_vectors
 
 
 def _zn(n):
@@ -151,7 +152,73 @@ def test_bad_bound():
 
 
 def test_cholesky_rejects_indefinite():
-    from codelattice.enumeration import _cholesky
+    from codelattice.enumeration import _integer_form
 
-    with pytest.raises(NotPositiveDefinite):
-        _cholesky([[1, 2], [2, 1]])
+    for gram in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[2, 0, 0], [0, -1, 0], [0, 0, 1]]):
+        with pytest.raises(NotPositiveDefinite):
+            _integer_form(gram)
+
+
+def test_integer_form_minors_and_norms():
+    # D_k are the leading minors, and the form reproduces x^T G x exactly.
+    from fractions import Fraction
+
+    from codelattice.enumeration import _integer_form
+    from codelattice.lattices import det_int
+
+    rng = random.Random(34)
+    for _ in range(20):
+        lat = construction_a(_random_code(rng))
+        gram = lat.gram
+        n = lat.n
+        dets, a = _integer_form(gram)
+        assert dets == [det_int([row[:k] for row in gram[:k]]) for k in range(n + 1)]
+        for _ in range(5):
+            x = [rng.randint(-3, 3) for _ in range(n)]
+            form = sum(
+                Fraction(
+                    (dets[i + 1] * x[i] + sum(a[i][j] * x[j] for j in range(i + 1, n))) ** 2,
+                    dets[i] * dets[i + 1],
+                )
+                for i in range(n)
+            )
+            assert form == sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
+
+
+def _random_full_rank(rng, n):
+    """A lattice from random small rows, and the norm of its shortest row."""
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        try:
+            lat = IntegralLattice.from_rows(rows)
+        except RankDeficient:
+            continue
+        return lat, min(sum(e * e for e in row) for row in rows)
+
+
+def _assert_matches_oracle(lat, bounds):
+    for bound in bounds:
+        assert short_vectors(lat, bound) == fraction_short_vectors(lat, bound), (lat.basis, bound)
+
+
+def test_matches_fraction_oracle_on_code_lattices():
+    rng = random.Random(35)
+    for _ in range(40):
+        lat = construction_a(_random_code(rng, n_max=6, q_choices=(2, 3, 4, 5)))
+        wide = short_vectors(lat, 9).vectors
+        # bounds equal to attained norms put vectors exactly on the boundary
+        exact = {v.norm for v in wide[:: max(1, len(wide) // 3)]}
+        _assert_matches_oracle(lat, sorted(exact | {1, rng.randint(2, 12)}))
+
+
+def test_matches_fraction_oracle_on_general_lattices():
+    rng = random.Random(36)
+    for _ in range(40):
+        lat, row_norm = _random_full_rank(rng, rng.randint(1, 6))
+        # the generating row is a lattice vector lying exactly on the bound
+        _assert_matches_oracle(lat, sorted({max(1, row_norm - 1), row_norm, row_norm + 1}))
+
+
+def test_matches_fraction_oracle_on_e8():
+    lat = construction_a(reed_muller_code(1, 3))
+    _assert_matches_oracle(lat, (4, 7, 8))

@@ -151,7 +151,7 @@ def test_rank3_e8_matches_known_value():
 
     lat = construction_a(reed_muller_code(1, 3))
     cert = minimal_sublattice(lat, 3, upper_hint=64)
-    assert cert.value == 32
+    assert (cert.value, cert.candidates_examined) == (32, 279720)
     assert cert.confirmed_by_escalation
     assert rankin_invariant(lat, cert) == Radical(4)
 
@@ -201,3 +201,131 @@ def test_certificate_fields():
     assert cert.witness.ambient == lat
     rows_sorted = sorted(cert.witness.rows)
     assert list(cert.witness.rows) == rows_sorted
+
+
+Q4_CODE = LinearCode(
+    4,
+    8,
+    [[3, 2, 3, 3, 0, 0, 2, 3], [2, 3, 1, 2, 0, 2, 1, 3], [0, 1, 0, 3, 1, 0, 1, 3]],
+)
+
+
+@pytest.mark.parametrize(
+    "code, l, value, leaves",
+    [
+        (reed_muller_code(1, 3), 1, 4, 120),
+        (reed_muller_code(1, 3), 2, 12, 7140),
+        (parity_check_code(8, 2), 4, 4, 353570),
+        (reed_muller_code(1, 4), 2, 16, 120),
+        (Q4_CODE, 2, 20, 3),
+    ],
+)
+def test_benchmark_certificates_pinned(code, l, value, leaves):
+    # E8 at l = 3 is pinned in test_rank3_e8_matches_known_value
+    cert = minimal_sublattice(construction_a(code), l, upper_hint=code.q ** (2 * l))
+    assert (cert.value, cert.candidates_examined) == (value, leaves)
+    assert cert.confirmed_by_escalation
+
+
+def test_pool_grows_from_minimum_within_hint_radius(monkeypatch):
+    from codelattice import sublattice_search
+    from codelattice.sublattice_search import H_FACTOR, _radius
+
+    radii = []
+
+    def recording(lattice, bound, cap=10_000_000):
+        radii.append(bound)
+        return short_vectors(lattice, bound, cap)
+
+    monkeypatch.setattr(sublattice_search, "short_vectors", recording)
+    rng = random.Random(44)
+    cases = [(construction_a(Q4_CODE), 2, 4)]
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        q = rng.choice((2, 3, 4))
+        k = rng.randint(1, n)
+        code = LinearCode(q, n, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+        cases.append((construction_a(code), rng.randint(1, min(3, n)), q))
+    for lat, l, q in cases:
+        for hint in (None, q ** (2 * l)):
+            radii.clear()
+            cert = minimal_sublattice(lat, l, upper_hint=hint)
+            lam = lattice_minimum(lat)[0]
+            u0 = det_int(gram_matrix(lat.basis[:l]))
+            if hint is not None:
+                u0 = min(u0, hint)
+            growth, escalation = radii[:-1], radii[-1]
+            assert escalation == 2 * cert.per_vector_bound
+            assert growth[0] == lam
+            assert growth == sorted(set(growth))
+            assert growth[-1] >= cert.per_vector_bound
+            assert max(growth) <= _radius(H_FACTOR[l], u0, lam, l)
+
+
+def test_pools_freed_without_cyclic_gc():
+    import gc
+
+    lat = construction_a(reed_muller_code(1, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        short_vectors(lat, 8)
+        assert gc.collect() == 0
+        minimal_sublattice(lat, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_CORRUPTED_CHECKS = """
+import sys
+from codelattice import enumeration, sublattice_search
+from codelattice.codes import parity_check_code
+from codelattice.lattices import construction_a
+
+print(sys.flags.optimize)
+lat = construction_a(parity_check_code(4, 2))
+real_form = enumeration._integer_form
+
+def skewed_form(gram):
+    dets, a = real_form(gram)
+    a[0][1] += 1
+    return dets, a
+
+enumeration._integer_form = skewed_form
+try:
+    sublattice_search.minimal_sublattice(lat, 2)
+except enumeration.CertificateError:
+    print("norm check raised")
+enumeration._integer_form = real_form
+
+class Forged:
+    det_l = 0
+
+sublattice_search.sublattice_from_rows = lambda lattice, rows: Forged()
+try:
+    sublattice_search.minimal_sublattice(lat, 2)
+except enumeration.CertificateError:
+    print("witness check raised")
+"""
+
+
+def test_certified_checks_survive_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import codelattice
+
+    src = str(Path(codelattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPTED_CHECKS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:3] == ["1", "norm check raised", "witness check raised"]
