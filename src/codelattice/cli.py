@@ -199,14 +199,14 @@ def _cache_store(cache_dir, lattice, cert: SearchCertificate) -> None:
 
 
 def _searched(args, lattice, l, hint) -> tuple[SearchCertificate, bool]:
+    if l > lattice.n:
+        raise CliError(f"--l {l} exceeds the lattice dimension {lattice.n}", EXIT_BAD_INPUT)
     cache_dir = _cache_dir(args)
     cert = _cache_load(cache_dir, lattice, l)
     if cert is not None:
         return cert, True
     try:
-        cert = minimal_sublattice(
-            lattice, l, upper_hint=hint, cap=args.max_candidates, threads=args.threads
-        )
+        cert = minimal_sublattice(lattice, l, upper_hint=hint, cap=args.max_candidates)
     except EnumerationCap as exc:
         raise CliError(str(exc), EXIT_INFEASIBLE)
     _cache_store(cache_dir, lattice, cert)
@@ -337,7 +337,7 @@ def _cmd_gamma_prime(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    seeds = standard_seeds(args.n_max, threads=args.threads)
+    seeds = standard_seeds(args.n_max)
     result = propagate_bounds(args.n_max, seeds, rules=args.rules)
     rows = []
     for (kind, n, l), cell in sorted(result.cells.items()):
@@ -399,7 +399,7 @@ def _cmd_rm_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {"threads": args.threads, "cap": args.max_candidates}
+    overrides = {"cap": args.max_candidates}
     if args.random_codes is not None:
         overrides["random_codes"] = args.random_codes
     results = run_checks(args.filter, **overrides)
@@ -411,11 +411,28 @@ def _cmd_verify(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """argparse type: an integer in [lo, hi]; anything else exits 2 with usage."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo or (hi is not None and value > hi):
+            span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--precision", type=int, default=6, help="decimal display digits")
+    p.add_argument(
+        "--precision", type=_int_in(1), default=6, help="decimal display digits (>= 1)"
+    )
     p.add_argument("--cache", default=None, help="certificate cache directory")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--max-candidates", type=int, default=10_000_000)
 
 
@@ -448,19 +465,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dl", help="minimal rank-l sublattice determinant")
     _add_common(p)
     _add_code_input(p)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")
     p.set_defaults(fn=_cmd_dl)
 
     p = sub.add_parser("gamma", help="Rankin invariant of the code lattice")
     _add_common(p)
     _add_code_input(p)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")
     p.set_defaults(fn=_cmd_gamma)
 
     p = sub.add_parser("gamma-prime", help="Berge-Martinet invariant via the dual code")
     _add_common(p)
     _add_code_input(p)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")
     p.set_defaults(fn=_cmd_gamma_prime)
 
     p = sub.add_parser("bounds", help="exact interval table for the constants")

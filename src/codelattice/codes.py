@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from math import comb
 
+from .enumeration import CertificateError
 from .lattices import IntegralLattice, construction_a, hnf, inverse_times
 
 __all__ = [
@@ -221,7 +222,8 @@ def reed_muller_generators(r: int, m: int) -> list[list[int]]:
     half = 1 << (m - 1)
     rows = [row + row for row in top]
     rows += [[0] * half + row for row in bot]
-    assert len(rows) == sum(comb(m, i) for i in range(r + 1))
+    if len(rows) != sum(comb(m, i) for i in range(r + 1)):
+        raise CertificateError(f"RM({r},{m}) has {len(rows)} generators, not the dimension")
     return rows
 
 
@@ -272,7 +274,8 @@ def dual_code(code: LinearCode) -> LinearCode:
     scaled_inv = inverse_times(basis, q)
     dual_rows = [[scaled_inv[i][j] for i in range(n)] for j in range(n)]
     h, rank = hnf(dual_rows)
-    assert rank == n
+    if rank != n:
+        raise CertificateError(f"dual basis has rank {rank}, not {n}")
     gens = [[e % q for e in row] for row in h]
     return LinearCode(q, n, gens)
 

@@ -128,7 +128,6 @@ def berge_martinet_invariant(
     code: LinearCode,
     l: int,
     shortcut: bool | None = None,
-    threads: int = 1,
     search=None,
 ) -> Radical:
     """sqrt(d_l(L_C) * d_l(L_C*)) via the dual code.
@@ -143,7 +142,7 @@ def berge_martinet_invariant(
     """
     if search is None:
         def search(lat, rank, hint):
-            return minimal_sublattice(lat, rank, upper_hint=hint, threads=threads)
+            return minimal_sublattice(lat, rank, upper_hint=hint)
 
     q = code.q
     hint = q ** (2 * l)
@@ -213,7 +212,7 @@ def known_fact_seeds(n_max: int) -> list[BoundInterval]:
     return seeds
 
 
-def standard_seeds(n_max: int, threads: int = 1) -> list[BoundInterval]:
+def standard_seeds(n_max: int) -> list[BoundInterval]:
     """Known facts plus this library's own lattice lower bounds.
 
     The single parity check code at q = 2 supplies, for every n, a rank-2
@@ -225,7 +224,7 @@ def standard_seeds(n_max: int, threads: int = 1) -> list[BoundInterval]:
     for n in range(3, min(n_max, 8) + 1):
         code = parity_check_code(n, 2)
         lat = construction_a(code)
-        cert = minimal_sublattice(lat, 2, upper_hint=16, threads=threads)
+        cert = minimal_sublattice(lat, 2, upper_hint=16)
         gl = rankin_invariant(lat, cert)
         seeds.append(
             BoundInterval(
@@ -239,7 +238,7 @@ def standard_seeds(n_max: int, threads: int = 1) -> list[BoundInterval]:
                 ],
             )
         )
-        gp = berge_martinet_invariant(code, 2, threads=threads)
+        gp = berge_martinet_invariant(code, 2)
         seeds.append(
             BoundInterval(
                 BERGE_MARTINET,

@@ -164,6 +164,27 @@ def inverse_times(mat, scalar: int) -> list[list[int]]:
     return out
 
 
+def _check_hnf(basis) -> None:
+    n = len(basis)
+    if n == 0:
+        raise ValueError("empty basis")
+    for i, row in enumerate(basis):
+        if len(row) != n:
+            raise ValueError(f"basis is not square: row {i} has {len(row)} entries, not {n}")
+        if row[i] <= 0:
+            raise ValueError(f"basis is not in HNF: pivot {i} is {row[i]}, not positive")
+        if any(row[:i]):
+            raise ValueError(f"basis is not in HNF: row {i} is nonzero below the diagonal")
+    for j in range(1, n):
+        pivot = basis[j][j]
+        for i in range(j):
+            if not 0 <= basis[i][j] < pivot:
+                raise ValueError(
+                    f"basis is not in HNF: entry ({i}, {j}) = {basis[i][j]} "
+                    f"is outside [0, {pivot})"
+                )
+
+
 class IntegralLattice:
     """Full-rank integral lattice with a canonical HNF basis.
 
@@ -173,8 +194,12 @@ class IntegralLattice:
     __slots__ = ("n", "basis", "gram", "det_gram")
 
     def __init__(self, basis):
+        """basis must be the row HNF that `hnf` returns for a full-rank span:
+        square, zero below the diagonal, positive pivots, and entries above
+        each pivot in [0, pivot).  Use `from_rows` for arbitrary rows."""
         self.basis = tuple(tuple(map(int, row)) for row in basis)
         self.n = len(self.basis)
+        _check_hnf(self.basis)
         self.gram = tuple(tuple(r) for r in gram_matrix(self.basis))
         d = 1
         for i in range(self.n):

@@ -13,33 +13,57 @@ tuples with a product-of-norms prune:
   be that reduced basis and are pruned; rank-deficient prefixes are
   skipped; exact Gram determinants are evaluated at the leaves.
 
+One kernel, `_Scan`, walks the tuples of a pool (the candidate vectors in
+ascending norm order).  Adding a vector of norm n to a prefix with Gram
+matrix G_k updates the determinant by the Schur complement
+
+    det_{k+1} = det_k * n - u^T adj(G_k) u,
+
+u being the new vector's dot products with the prefix, and the adjugate
+exactly by adj' = [[(det_{k+1} adj + w w^T) / det_k, -w], [-w^T, det_k]]
+with w = adj u (det_k > 0, as rank-deficient prefixes are skipped).  Each
+loop stops at the index found by bisecting the ascending norms against the
+budget, and the dot products of the prefix vectors are computed on demand,
+only up to that index.  A walk has the fixed budget H_l * bound; a leaf
+below the bound ends it, and a new walk starts at that leaf's determinant.
+
 The candidate pool grows from what has been proven, not from the upper
 bound u0 (the Gram determinant of the first l basis rows, or the hint if
 smaller).  Starting at the minimal norm r = lambda1**2, the search
-enumerates the pool of radius r, lowers the value by a scan of that pool,
+enumerates the pool of radius r, lowers the value by walking that pool,
 and stops once R(value) <= r; otherwise it sets r = min(R(value), 2r) and
 repeats.  Every value is the determinant of a sublattice or u0, so
 value >= d_l and the final pool holds every vector of norm <= R(d_l): the
 reported value is exact.  As the value only falls, r never exceeds R(u0),
 the radius a single pool sized from u0 would need.
 
-Afterwards the search is rerun once with the per-vector bound doubled;
-`confirmed_by_escalation` records that the doubling changed nothing,
-making the certificate independent of the sharpness of H_l.
+The last walk of the final pool is a fixed-threshold scan at the budget
+H_l * value that found no leaf below the value; it is the confirm and
+witness scan.  Norms are ascending and each is at least lambda1**2, so a
+tuple that reaches a vector of norm
+n > bv = floor(H_l * value / lambda1**(2(l-1))) has a norm product of at
+least n * lambda1**(2(l-1)) > H_l * value and is pruned.  The scan thus
+never reads past bv (the reported per_vector_bound), and a pool of any
+larger radius, such as a doubled one, would give it the same leaves: a
+rerun at a wider radius under the same prune cannot test whether H_l is
+sharp, so none is made.  The scan gives the number of leaves and the
+lexicographically smallest sorted row list at the value;
+`confirmed_by_escalation` records that it found nothing below the value.
 
-Determinism: the witness scan runs at a radius derived from the proven
-value (never from hints), with a fixed prune threshold, and reports the
-lexicographically smallest sorted row list among minimal tuples.  Hints,
-caching and the number of worker threads therefore never change the
-returned value or witness, only the work performed.  The witness is
-re-checked against the value by an exact determinant; a mismatch raises
-CertificateError.
+Determinism: the confirm scan depends only on the proven value (never on
+hints), with a fixed prune threshold, and reports the lexicographically
+smallest sorted row list among minimal tuples.  Hints and caching
+therefore never change the returned value or witness, only the work
+performed.  The witness is re-checked against the value by an exact
+determinant; a mismatch raises CertificateError.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from .enumeration import CertificateError, lattice_minimum, short_vectors
 from .lattices import (
@@ -64,9 +88,9 @@ class SearchCertificate:
     """Result of a minimal-sublattice search.
 
     value is the exact minimal rank-l Gram determinant; witness is a
-    sublattice achieving it; per_vector_bound is the enumeration radius
-    derived from the value; candidates_examined counts the leaf
-    determinants evaluated by the deterministic witness scan.
+    sublattice achieving it; per_vector_bound is the largest norm the
+    confirm scan can reach, derived from the value; candidates_examined
+    counts the leaf determinants evaluated by that scan.
     """
 
     __slots__ = (
@@ -98,207 +122,142 @@ def _radius(h: Fraction, upper: int, lam: int, l: int) -> int:
     return max(bv, lam)
 
 
-class _Pool:
-    """Candidate vectors (ascending norms) with cached pairwise dot products."""
+def _extend(det, adj, u, n):
+    """(det', adj') of a prefix (det, flat adjugate) extended by one vector.
 
-    def __init__(self, rows, norms):
-        self.rows = rows
-        self.norms = norms
-        self._dots: dict[tuple[int, int], int] = {}
-        self._matrix: list[list[int]] | None = None
-
-    @classmethod
-    def from_vectors(cls, vectors):
-        return cls([v.coords for v in vectors], [v.norm for v in vectors])
-
-    def dot(self, i: int, j: int) -> int:
-        key = (i, j) if i <= j else (j, i)
-        d = self._dots.get(key)
-        if d is None:
-            d = sum(a * b for a, b in zip(self.rows[key[0]], self.rows[key[1]]))
-            self._dots[key] = d
-        return d
-
-    def dot_matrix(self) -> list[list[int]]:
-        """Full pairwise dot matrix; pays off when leaves outnumber pairs."""
-        if self._matrix is None:
-            rows = self.rows
-            m = len(rows)
-            mat = [[0] * m for _ in range(m)]
-            for i in range(m):
-                ri = rows[i]
-                mi = mat[i]
-                mi[i] = self.norms[i]
-                for j in range(i + 1, m):
-                    d = sum(a * b for a, b in zip(ri, rows[j]))
-                    mi[j] = d
-                    mat[j][i] = d
-            self._matrix = mat
-        return self._matrix
-
-
-def _det3_entries(a, b, c, d, e, f):
-    """det of [[a,b,d],[b,c,e],[d,e,f]] (flat symmetric storage)."""
-    return a * (c * f - e * e) - b * (b * f - e * d) + d * (b * e - c * d)
-
-
-def _det3_general(m11, m12, m13, m21, m22, m23, m31, m32, m33):
-    return (
-        m11 * (m22 * m33 - m23 * m32)
-        - m12 * (m21 * m33 - m23 * m31)
-        + m13 * (m21 * m32 - m22 * m31)
+    u holds the new vector's dot products with the prefix and n its norm.
+    Adjugates are stored flat, upper triangle column by column:
+    (a00,), (a00, a01, a11), (a00, a01, a11, a02, a12, a22).
+    """
+    if not u:
+        return n, (1,)
+    if len(u) == 1:
+        x = u[0]
+        return det * n - x * x, (n, -x, det)
+    a00, a01, a11 = adj
+    x, y = u
+    w0 = a00 * x + a01 * y
+    w1 = a01 * x + a11 * y
+    d = det * n - x * w0 - y * w1
+    return d, (
+        (d * a00 + w0 * w0) // det,
+        (d * a01 + w0 * w1) // det,
+        (d * a11 + w1 * w1) // det,
+        -w0,
+        -w1,
+        det,
     )
 
 
-def _extend_flat(flat, newrow):
-    """Append one symmetric row to a flat Gram tuple; return (det, flat2).
+def _leaf_dets(det, adj, norms, cols):
+    """Determinants of the prefix extended by each vector of a leaf batch.
 
-    Flat storage lists the upper triangle column by column:
-    (g00,), (g00, g01, g11), (g00, g01, g11, g02, g12, g22), ...
+    cols[j][t] is the dot product of prefix vector j with batch vector t.
     """
-    j = len(newrow) - 1
-    flat2 = flat + tuple(newrow)
-    if j == 0:
-        return newrow[0], flat2
-    if j == 1:
-        a, b, c = flat2
-        return a * c - b * b, flat2
-    if j == 2:
-        return _det3_entries(*flat2), flat2
-    a, b, c, d, e, f, g, h, i, jj = flat2
-    det = (
-        -g * _det3_general(b, d, g, c, e, h, e, f, i)
-        + h * _det3_general(a, d, g, b, e, h, d, f, i)
-        - i * _det3_general(a, b, g, b, c, h, d, e, i)
-        + jj * _det3_entries(a, b, c, d, e, f)
-    )
-    return det, flat2
+    if not cols:
+        return norms
+    if len(cols) == 1:
+        return [det * n - x * x for n, x in zip(norms, cols[0])]
+    if len(cols) == 2:
+        a00, a01, a11 = adj
+        b01 = 2 * a01
+        return [
+            det * n - x * (a00 * x + b01 * y) - a11 * y * y
+            for n, x, y in zip(norms, *cols)
+        ]
+    a00, a01, a11, a02, a12, a22 = adj
+    b01, b02, b12 = 2 * a01, 2 * a02, 2 * a12
+    return [
+        det * n - x * (a00 * x + b01 * y + b02 * z) - y * (a11 * y + b12 * z) - a22 * z * z
+        for n, x, y, z in zip(norms, *cols)
+    ]
 
 
-def _split(count: int, threads: int):
-    buckets = [[] for _ in range(max(1, threads))]
-    for k in range(count):
-        buckets[k % len(buckets)].append(k)
-    return [b for b in buckets if b]
+# key for bisecting ascending norms against the budget of a loop that still
+# has e vectors to place: norm**e (index e)
+_POWER = (None, None, lambda v: v * v, lambda v: v * v * v, lambda v: (v * v) * (v * v))
 
 
-def _dot_fn(pool: _Pool, l: int):
-    # materialising the full matrix only pays when deep scans revisit pairs
-    if l >= 3 and len(pool.norms) <= 400:
-        mat = pool.dot_matrix()
-        return lambda i, k: mat[i][k]
-    return pool.dot
+class _Scan:
+    """Index-increasing l-tuples of one pool under the norm-product prune.
 
-
-def _value_scan(pool: _Pool, l: int, h: Fraction, init: int, threads: int) -> int:
-    """Smallest leaf determinant (or init if nothing beats it), adaptive prune."""
-    norms = pool.norms
-    m = len(norms)
-    hn, hd = h.numerator, h.denominator
-    dot = _dot_fn(pool, l)
-    best = [init]  # shared monotone cell; stale reads only weaken pruning
-
-    def rec(start, prod, idxs, flat):
-        need = l - len(idxs)
-        for k in range(start, m):
-            nk = norms[k]
-            if prod * nk ** need * hd > hn * best[0]:
-                break
-            newrow = [dot(i, k) for i in idxs]
-            newrow.append(nk)
-            d, flat2 = _extend_flat(flat, newrow)
-            if d <= 0:
-                continue
-            if need == 1:
-                if d < best[0]:
-                    best[0] = d
-            else:
-                rec(k + 1, prod * nk, idxs + [k], flat2)
-
-    def run(first_ks):
-        for k in first_ks:
-            nk = norms[k]
-            if nk ** l * hd > hn * best[0]:
-                break
-            if l == 1:
-                if nk < best[0]:
-                    best[0] = nk
-            else:
-                rec(k + 1, nk, [k], (nk,))
-
-    try:
-        if threads > 1 and m > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                list(ex.map(run, _split(m, threads)))
-        else:
-            run(range(m))
-    finally:
-        del rec  # rec refers to itself; unbinding it frees the pool by refcount
-    return best[0]
-
-
-def _witness_scan(pool: _Pool, l: int, value: int, h: Fraction, threads: int):
-    """Deterministic scan at fixed threshold h*value.
-
-    Returns (lexicographically smallest sorted row list achieving `value`,
-    number of leaf determinants evaluated).
+    The pool (rows and ascending norms) and the dot products computed so
+    far stay with the object across walks.
     """
-    norms = pool.norms
-    rows = pool.rows
-    m = len(norms)
-    limit_n = h.numerator * value
-    limit_d = h.denominator
-    dot = _dot_fn(pool, l)
 
-    def rec(start, prod, idxs, flat, state):
-        need = l - len(idxs)
-        for k in range(start, m):
+    __slots__ = ("rows", "norms", "dots", "l", "hn", "hd", "bound", "lower", "leaves", "key")
+
+    def __init__(self, vectors, l: int, h: Fraction):
+        self.rows = [v.coords for v in vectors]
+        self.norms = [v.norm for v in vectors]
+        self.dots: list[list[int] | None] = [None] * len(self.norms)
+        self.l = l
+        self.hn, self.hd = h.numerator, h.denominator
+
+    def run(self, bound: int) -> int:
+        """Smallest leaf determinant within its own budget, or the bound.
+
+        A walk visits every tuple within the budget H_l * bound.  A leaf
+        below the bound ends the walk, and a new walk starts at that leaf's
+        determinant, so the last walk is a fixed-budget scan that found no
+        leaf below the returned bound.  `leaves` counts the leaf
+        determinants of that walk and `key` is its lexicographically
+        smallest sorted row tuple at the bound (None if there is none).
+        """
+        while True:
+            self.bound, self.lower, self.leaves, self.key = bound, None, 0, None
+            self._walk(0, 1, (), 1, None)
+            if self.lower is None:
+                return bound
+            bound = self.lower
+
+    def _row(self, i: int, stop: int) -> list[int]:
+        """Dot products of vector i with vectors i+1 .. stop-1, grown on demand."""
+        row = self.dots[i]
+        if row is None:
+            row = self.dots[i] = []
+        have = i + 1 + len(row)
+        if have < stop:
+            vi = self.rows[i]
+            row.extend([sum(map(mul, vi, w)) for w in self.rows[have:stop]])
+        return row
+
+    def _walk(self, start, prod, prefix, det, adj):
+        need = self.l - len(prefix)
+        norms = self.norms
+        budget = self.hn * self.bound // (prod * self.hd)
+        stop = bisect_right(norms, budget, start, key=_POWER[need])
+        if stop <= start:
+            return
+        cols = [self._row(i, stop)[start - i - 1 : stop - i - 1] for i in prefix]
+        if need == 1:
+            self._leaves(prefix, start, _leaf_dets(det, adj, norms[start:stop], cols))
+            return
+        for t in range(stop - start):
+            k = start + t
             nk = norms[k]
-            if prod * nk ** need * limit_d > limit_n:
-                break
-            newrow = [dot(i, k) for i in idxs]
-            newrow.append(nk)
-            d, flat2 = _extend_flat(flat, newrow)
-            if d <= 0:
-                continue
-            if need == 1:
-                state[1] += 1
-                if d == value:
-                    key = tuple(sorted(rows[i] for i in idxs + [k]))
-                    if state[0] is None or key < state[0]:
-                        state[0] = key
-            else:
-                rec(k + 1, prod * nk, idxs + [k], flat2, state)
+            d, a = _extend(det, adj, [c[t] for c in cols], nk)
+            if d > 0:
+                self._walk(k + 1, prod * nk, prefix + (k,), d, a)
+                if self.lower is not None:
+                    return
 
-    def run(first_ks):
-        state = [None, 0]  # [best_key, leaves]
-        for k in first_ks:
-            nk = norms[k]
-            if nk ** l * limit_d > limit_n:
-                break
-            if l == 1:
-                state[1] += 1
-                if nk == value:
-                    key = (rows[k],)
-                    if state[0] is None or key < state[0]:
-                        state[0] = key
-            else:
-                rec(k + 1, nk, [k], (nk,), state)
-        return state
-
-    try:
-        if threads > 1 and m > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                states = list(ex.map(run, _split(m, threads)))
-        else:
-            states = [run(range(m))]
-    finally:
-        del rec  # as in _value_scan
-    keys = [s[0] for s in states if s[0] is not None]
-    examined = sum(s[1] for s in states)
-    if not keys:
-        raise AssertionError("witness scan found no minimal tuple")
-    return min(keys), examined
+    def _leaves(self, prefix, start, dets):
+        zeros = dets.count(0)  # Gram determinants are >= 0; 0 is rank-deficient
+        self.leaves += len(dets) - zeros
+        low = min(filter(None, dets), default=None) if zeros else min(dets)
+        if low is None or low > self.bound:
+            return
+        if low < self.bound:
+            self.lower = low
+            return
+        # sorted(head + [r]) grows with r, so the smallest row at the bound
+        # gives this batch's smallest key
+        rows = self.rows
+        r = min(compress(rows[start : start + len(dets)], map(low.__eq__, dets)))
+        key = tuple(sorted([rows[i] for i in prefix] + [r]))
+        if self.key is None or key < self.key:
+            self.key = key
 
 
 def minimal_sublattice(
@@ -306,7 +265,6 @@ def minimal_sublattice(
     l: int,
     upper_hint: int | None = None,
     cap: int = 10_000_000,
-    threads: int = 1,
 ) -> SearchCertificate:
     """Exact minimal rank-l sublattice determinant with a certified witness.
 
@@ -318,8 +276,6 @@ def minimal_sublattice(
     n = lattice.n
     if not 1 <= l <= min(4, n):
         raise ValueError(f"l must be in [1, {min(4, n)}], got {l}")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     lam, _ = lattice_minimum(lattice)
     u0 = det_int(gram_matrix(lattice.basis[:l]))
     if upper_hint is not None:
@@ -329,39 +285,26 @@ def minimal_sublattice(
     h = H_FACTOR[l]
 
     # Grow the pool from lambda_1 (module docstring); r <= _radius(h, u0).
+    # The last walk of the last pool is the confirm and witness scan.
     r, value = lam, u0
     while True:
-        pool = _Pool.from_vectors(short_vectors(lattice, r, cap).vectors)
-        value = _value_scan(pool, l, h, value, threads)
-        need = _radius(h, value, lam, l)
-        if need <= r:
-            break
-        r = min(need, 2 * r)
-
-    confirmed = True
-    while True:
+        scan = _Scan(short_vectors(lattice, r, cap).vectors, l, h)
+        value = scan.run(value)
         bv = _radius(h, value, lam, l)
-        wide = _Pool.from_vectors(short_vectors(lattice, 2 * bv, cap).vectors)
-        rerun = _value_scan(wide, l, h, value, threads)
-        if rerun == value:
+        if bv <= r:
             break
-        value = rerun  # defensive; unreachable for l <= 4
-        confirmed = False
-
-    # Witness scan at the value-derived radius: sorted order is preserved
-    # by the norm filter, and the candidate set no longer depends on hints.
-    narrow = _Pool(
-        [r for r, nm in zip(wide.rows, wide.norms) if nm <= bv],
-        [nm for nm in wide.norms if nm <= bv],
-    )
-    witness_rows, examined = _witness_scan(narrow, l, value, h, threads)
-
-    witness = sublattice_from_rows(lattice, witness_rows)
+        r = min(bv, 2 * r)
+    if scan.key is None:
+        raise CertificateError(
+            f"no rank-{l} sublattice of determinant {value} within the budget "
+            "(is upper_hint below the minimum?)"
+        )
+    witness = sublattice_from_rows(lattice, scan.key)
     if witness.det_l != value:
         raise CertificateError(
             f"witness determinant {witness.det_l} differs from the value {value}"
         )
-    return SearchCertificate(l, value, witness, bv, examined, confirmed)
+    return SearchCertificate(l, value, witness, bv, scan.leaves, True)
 
 
 def rank2_code_bound(code) -> int:

@@ -52,7 +52,7 @@ from .lattices import (
     is_even,
     sublattice_from_rows,
 )
-from .enumeration import lattice_minimum
+from .enumeration import CertificateError, lattice_minimum
 from .sublattice_search import minimal_sublattice, rank2_code_bound
 
 __all__ = ["CheckResult", "run_checks", "render_report", "OPEN_CONSTANTS_NOTE"]
@@ -81,7 +81,6 @@ class _Config:
     parity_n: tuple[int, int] = (3, 7)
     primal_q: tuple[int, int] = (2, 5)
     dual_q: tuple[int, ...] = (2, 3)
-    threads: int = 1
     cap: int = 10_000_000
 
 
@@ -105,9 +104,7 @@ def _family_corpus() -> list[LinearCode]:
 
 
 def _search(lattice, l, hint, cfg: _Config):
-    return minimal_sublattice(
-        lattice, l, upper_hint=hint, cap=cfg.cap, threads=cfg.threads
-    )
+    return minimal_sublattice(lattice, l, upper_hint=hint, cap=cfg.cap)
 
 
 # -- individual checks ------------------------------------------------------
@@ -120,7 +117,10 @@ def _check_det_formula(cfg):
         count = len(code.codewords())
         lat = construction_a(code)
         pairs.append((Fraction(code.q ** code.n, count) ** 2, lat.det_gram))
-        assert count == code.cardinality
+        if count != code.cardinality:
+            raise CertificateError(
+                f"{count} codewords counted, cardinality {code.cardinality} from the lattice"
+            )
     expected = "; ".join(str(a) for a, _ in pairs)
     computed = "; ".join(str(Fraction(b)) for _, b in pairs)
     return expected, computed
@@ -451,14 +451,14 @@ def _check_dual_parity_check(cfg):
             got, _ = lattice_minimum(construction_a(dual))
             parts_e.append(f"d1*(n={n},q={q})={min(n, q * q)}")
             parts_c.append(f"d1*(n={n},q={q})={got}")
-            gp1 = berge_martinet_invariant(code, 1, threads=cfg.threads)
+            gp1 = berge_martinet_invariant(code, 1)
             expect1 = Radical(Fraction(2 * min(n, q * q), q * q), 2)
             parts_e.append(f"g'1={expect1}")
             parts_c.append(f"g'1={gp1}")
     # q = 2 rank-1 values
     named = {2: Radical(1), 3: Radical(Fraction(3, 2), 2), 4: Radical(2, 2), 5: Radical(2, 2)}
     for n, expect in named.items():
-        gp = berge_martinet_invariant(parity_check_code(n, 2), 1, threads=cfg.threads)
+        gp = berge_martinet_invariant(parity_check_code(n, 2), 1)
         parts_e.append(f"g'({n},1)={expect}")
         parts_c.append(f"g'({n},1)={gp}")
     # d2 of the dual-code lattice
@@ -468,16 +468,16 @@ def _check_dual_parity_check(cfg):
             cert = _search(dual_lat, 2, q ** 4, cfg)
             parts_e.append(f"d2*(n={n},q={q})={min(q ** 4, q * q * (n - 1))}")
             parts_c.append(f"d2*(n={n},q={q})={cert.value}")
-            gp2 = berge_martinet_invariant(parity_check_code(n, q), 2, threads=cfg.threads)
+            gp2 = berge_martinet_invariant(parity_check_code(n, q), 2)
             expect2 = Radical(Fraction(3 * min(q * q, n - 1), q * q), 2)
             parts_e.append(f"g'2={expect2}")
             parts_c.append(f"g'2={gp2}")
-    gp42 = berge_martinet_invariant(parity_check_code(4, 2), 2, threads=cfg.threads)
+    gp42 = berge_martinet_invariant(parity_check_code(4, 2), 2)
     parts_e.append("g'(4,2)=3/2")
     parts_c.append(f"g'(4,2)={gp42}")
     sqrt3 = Radical(3, 2)
     for n in (5, 6, 7):
-        gp = berge_martinet_invariant(parity_check_code(n, 2), 2, threads=cfg.threads)
+        gp = berge_martinet_invariant(parity_check_code(n, 2), 2)
         parts_e.append(f"g'({n},2)>=sqrt3")
         parts_c.append(f"g'({n},2)>=sqrt3" if gp >= sqrt3 else f"g'({n},2)={gp}")
     return "; ".join(parts_e), "; ".join(parts_c)
@@ -485,7 +485,7 @@ def _check_dual_parity_check(cfg):
 
 def _check_bound_intervals(cfg):
     """Interval table for the open cells, with rule provenance and decimals."""
-    res = propagate_bounds(7, standard_seeds(7, threads=cfg.threads))
+    res = propagate_bounds(7, standard_seeds(7))
     targets = [
         (RANKIN, 5, 2, Radical(Fraction(243, 16), 5), Radical(2), "rule (7)", (4, 1)),
         (RANKIN, 7, 2, Radical(Fraction(2187, 16), 7), Radical(32, 3), "rule (7)", (5, 5)),
@@ -597,7 +597,7 @@ def run_checks(filter: str | None = None, **overrides) -> list[CheckResult]:
 
     `filter` is a substring or fnmatch pattern on check ids; non-matching
     checks are reported as skipped.  Sweep ranges, the random corpus size
-    and the thread count can be overridden by keyword.
+    and the enumeration cap can be overridden by keyword.
     """
     cfg = _Config(**overrides)
     results = []

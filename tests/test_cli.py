@@ -106,13 +106,6 @@ def test_cap_exceeded_exits_3(cache, capsys):
     assert "cap" in err
 
 
-def test_threads_identical(cache, capsys):
-    base = ["dl", "--family", "reed_muller", "--r", "1", "--m", "3", "--l", "2", "--format", "json"]
-    _, out1, _ = _run(capsys, base + ["--threads", "1", "--cache", str(cache / "a")])
-    _, out3, _ = _run(capsys, base + ["--threads", "3", "--cache", str(cache / "b")])
-    assert out1 == out3
-
-
 def test_bounds_command(cache, capsys):
     code, out, _ = _run(capsys, ["bounds", "--n-max", "7", "--format", "csv"])
     assert code == 0
@@ -185,3 +178,54 @@ def test_precision_flag(cache, capsys):
             "--format", "json", "--precision", "9"]
     _, out, _ = _run(capsys, argv)
     assert json.loads(out)["value"]["decimal"] == "1.25992105"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--l", "7"],
+        ["--l", "0"],
+        ["--l", "1", "--precision", "0"],
+        ["--l", "1", "--precision", "-1"],
+    ],
+)
+def test_out_of_range_arguments_exit_2(cache, capsys, extra):
+    argv = ["gamma", "--family", "parity_check", "--n", "4", "--q", "2"] + extra
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["dl", "gamma", "gamma-prime"])
+def test_rank_above_dimension_exits_2(cache, capsys, command):
+    code, _, err = _run(
+        capsys, [command, "--family", "parity_check", "--n", "3", "--q", "2", "--l", "4"]
+    )
+    assert code == 2
+    assert "exceeds the lattice dimension" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_range_rank_exits_2_from_the_shell(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import codelattice
+
+    src = str(Path(codelattice.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "codelattice.cli", "gamma", "--family", "parity_check",
+         "--n", "4", "--q", "2", "--l", "7", "--cache", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr

@@ -192,3 +192,21 @@ def test_det_int_matches_diagonal_square():
         code = _random_code(rng, n_max=5, q_max=4)
         lat = construction_a(code)
         assert det_int([list(r) for r in lat.gram]) == lat.det_gram
+
+
+def test_constructor_rejects_non_hnf_basis():
+    for bad in (
+        [[0, 1], [1, 0]],  # zero pivot
+        [[1, 0], [1, 1]],  # nonzero below the diagonal
+        [[-2, 0], [0, 1]],  # negative pivot
+        [[2, 3], [0, 3]],  # entry above a pivot not reduced
+        [[2, -1], [0, 3]],
+        [[1, 0, 0], [0, 1, 0]],  # not square
+        [],
+    ):
+        with pytest.raises(ValueError):
+            IntegralLattice(bad)
+    rows = [[2, 1, 3], [0, 5, 1], [4, 4, 4]]
+    lat = IntegralLattice.from_rows(rows)
+    assert IntegralLattice(lat.basis) == lat
+    assert IntegralLattice([[2, 1], [0, 3]]).det_gram == 36
