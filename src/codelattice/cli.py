@@ -23,15 +23,12 @@ import tempfile
 
 from . import __version__
 from .codes import (
+    FAMILIES,
     code_document,
     code_from_document,
-    extended_hamming_code,
-    full_code,
     is_self_dual,
-    parity_check_code,
     reed_muller_code,
     reed_muller_generators,
-    zero_code,
 )
 from .enumeration import EnumerationCap
 from .exact import Radical
@@ -107,19 +104,14 @@ def _resolve_target(args) -> tuple[object | None, IntegralLattice]:
             raise CliError(f"bad code document: {exc}", EXIT_BAD_INPUT)
         return code, construction_a(code)
     if args.family:
+        doc = {"family": args.family}
+        for key in ("n", "q", "r", "m"):
+            if getattr(args, key) is not None:
+                doc[key] = getattr(args, key)
         try:
-            if args.family == "parity_check":
-                code = parity_check_code(args.n, args.q)
-            elif args.family == "reed_muller":
-                code = reed_muller_code(args.r, args.m)
-            elif args.family == "extended_hamming":
-                code = extended_hamming_code()
-            elif args.family == "full":
-                code = full_code(args.n, args.q)
-            elif args.family == "zero":
-                code = zero_code(args.n, args.q)
-            else:
-                raise ValueError(f"unknown family {args.family}")
+            code = code_from_document(doc)
+        except KeyError as exc:
+            raise CliError(f"bad family parameters: --{exc.args[0]} is required", EXIT_BAD_INPUT)
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad family parameters: {exc}", EXIT_BAD_INPUT)
         return code, construction_a(code)
@@ -399,10 +391,7 @@ def _cmd_rm_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {"cap": args.max_candidates}
-    if args.random_codes is not None:
-        overrides["random_codes"] = args.random_codes
-    results = run_checks(args.filter, **overrides)
+    results = run_checks(args.filter, random_codes=args.random_codes, cap=args.max_candidates)
     sys.stdout.write(render_report(results, args.format))
     failures = sum(1 for r in results if r.status == "fail")
     return EXIT_CHECK_FAILURES if failures else EXIT_OK
@@ -433,16 +422,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--precision", type=_int_in(1), default=6, help="decimal display digits (>= 1)"
     )
     p.add_argument("--cache", default=None, help="certificate cache directory")
-    p.add_argument("--max-candidates", type=int, default=10_000_000)
+    p.add_argument(
+        "--max-candidates", type=_int_in(1), default=10_000_000, help="enumeration cap (>= 1)"
+    )
 
 
 def _add_code_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", default=None, help="JSON code document or {'rows': ...}")
-    p.add_argument(
-        "--family",
-        choices=("parity_check", "reed_muller", "extended_hamming", "full", "zero"),
-        default=None,
-    )
+    p.add_argument("--family", choices=FAMILIES, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--r", type=int, default=None)
@@ -494,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the reproduction checks")
     _add_common(p)
     p.add_argument("--filter", default=None)
-    p.add_argument("--random-codes", type=int, default=None)
+    p.add_argument(
+        "--random-codes", type=_int_in(0), default=200, help="random code corpus size (>= 0)"
+    )
     p.set_defaults(fn=_cmd_verify)
 
     return ap

@@ -2,28 +2,9 @@
 
 Per-lattice invariants are exact radicals.  For the constants themselves
 (the suprema over all lattices) the module keeps a grid of exact intervals
-and tightens it with a catalog of classical inequalities.  The catalog is
-numbered once here and referenced by number in all provenance strings:
-
-  (1) per-lattice only, used as consistency checks, never on the grid:
-      gamma_{n,l}(L) <= gamma_{n,1}(L)**l and
-      gamma'_{n,l}(L)**2 = gamma_{n,l}(L) * gamma_{n,l}(L*)
-  (2) gamma'_{n,l} <= gamma_{n,l} <= gamma_n**l
-  (3) gamma_{n,l} = gamma_{n,n-l} and gamma'_{n,l} = gamma'_{n,n-l}
-  (4) gamma_{n,l} <= gamma_{h,l} * gamma_{n,h}**(l/h)      (l <= h <= n)
-  (5) gamma_{n,l}**n <= gamma_{n-l,l}**(n-l) * gamma'_{n,l}**(2l)
-      and gamma'_{n,2l} <= gamma'_{n-l,l}**2               (0 <= l <= n/2)
-  (6) gamma'_{n,n/2} = gamma_{n,n/2} for even n
-  (7) gamma_{n,l}**(n-2l) <= gamma_{n-l,l}**(n-l)          (n > 2l)
-  (8) gamma'_{2l+1,1} <= gamma'_{l+1,1}**2
-
-Two rule profiles exist.  The default "published" profile applies
-(2)-upper, (3), (5)-second-form, (6), (7), (8): exactly the derivations
-behind the published interval table this library reproduces, so the grid
-endpoints match that table.  The "full" profile adds (2)-lower, (4) and
-(5)-first-form, which genuinely tighten some open cells beyond the
-published table (for example rule (4) with h = 4 pulls the (5,2) upper
-bound below 2).  Both profiles are sound; only their fixed points differ.
+and tightens it with a catalog of classical inequalities.  The rule table
+(the `_rule*` generators and `PROFILES`) is the one place that numbers the
+catalog, states each rule, and assigns the rules to the two profiles.
 """
 
 from __future__ import annotations
@@ -33,7 +14,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .codes import LinearCode, dual_code, is_self_dual, parity_check_code
+from .codes import LinearCode, dual_code, parity_check_code
 from .exact import Radical
 from .lattices import IntegralLattice, construction_a
 from .sublattice_search import SearchCertificate, minimal_sublattice
@@ -124,21 +105,14 @@ def rankin_invariant(lattice: IntegralLattice, cert: SearchCertificate) -> Radic
     return Radical(Fraction(cert.value ** n, lattice.det_gram ** l), n)
 
 
-def berge_martinet_invariant(
-    code: LinearCode,
-    l: int,
-    shortcut: bool | None = None,
-    search=None,
-) -> Radical:
+def berge_martinet_invariant(code: LinearCode, l: int, search=None) -> Radical:
     """sqrt(d_l(L_C) * d_l(L_C*)) via the dual code.
 
     The dual lattice never has to be materialised: d_l of the dual lattice
     is d_l of the dual-code lattice divided by q**(2l), which turns the
-    invariant into (1/q**l) * sqrt(d_l(L_C) * d_l(L_{C dual})).
-
-    shortcut=None auto-detects self-dual codes and then returns the exact
-    rational d_l(L_C) / q**l; shortcut=False forces the generic two-search
-    path (the two agree exactly, which the test suite asserts).
+    invariant into (1/q**l) * sqrt(d_l(L_C) * d_l(L_{C dual})).  For a
+    self-dual code the two lattices coincide, the primal certificate serves
+    both, and the radical is the rational d_l(L_C) / q**l.
     """
     if search is None:
         def search(lat, rank, hint):
@@ -146,13 +120,10 @@ def berge_martinet_invariant(
 
     q = code.q
     hint = q ** (2 * l)
-    primal = search(construction_a(code), l, hint)
-    use_shortcut = is_self_dual(code) if shortcut is None else shortcut
-    if use_shortcut:
-        if not is_self_dual(code):
-            raise ValueError("self-dual shortcut requested for a non-self-dual code")
-        return Radical(Fraction(primal.value, q ** l))
-    dual = search(construction_a(dual_code(code)), l, hint)
+    lattice = construction_a(code)
+    primal = search(lattice, l, hint)
+    dual_lattice = construction_a(dual_code(code))
+    dual = primal if dual_lattice == lattice else search(dual_lattice, l, hint)
     return Radical(Fraction(primal.value * dual.value, q ** (2 * l)), 2)
 
 
@@ -254,8 +225,141 @@ def standard_seeds(n_max: int) -> list[BoundInterval]:
     return seeds
 
 
-PUBLISHED_RULES = ("3", "6", "7", "5b", "8", "2u")
-FULL_RULES = ("3", "6", "7", "5b", "5a", "8", "2u", "2l", "4")
+# -- the rule table ----------------------------------------------------------
+#
+# The inequality catalog is numbered here, once; provenance strings cite the
+# numbers.  (1) holds per lattice and serves as a consistency check only:
+#   (1) gamma_{n,l}(L) <= gamma_{n,1}(L)**l and
+#       gamma'_{n,l}(L)**2 = gamma_{n,l}(L) * gamma_{n,l}(L*)
+# Each other rule is a generator that walks the grid keys in sorted order and
+# yields (cell, lower, upper, why), None for a side it does not touch.  It
+# reads its source cells as it yields, so each step sees the steps before it.
+
+
+def _rule2u(cells, keys):
+    """(2) gamma'_{n,l} <= gamma_{n,l} <= gamma_n**l, the upper sides."""
+    for kind, n, l in keys:
+        if kind == RANKIN:
+            src = cells[(RANKIN, n, 1)].upper
+            if l >= 2 and src is not None:
+                why = f"rule (2): gamma({n},{l}) <= gamma({n},1)^{l}"
+                yield cells[(kind, n, l)], None, src ** l, why
+        else:
+            src = cells[(RANKIN, n, l)].upper
+            if src is not None:
+                why = f"rule (2): gamma'({n},{l}) <= gamma({n},{l})"
+                yield cells[(kind, n, l)], None, src, why
+
+
+def _rule2l(cells, keys):
+    """(2) gamma_{n,l} >= gamma'_{n,l}, the lower side."""
+    for kind, n, l in keys:
+        if kind == RANKIN:
+            src = cells[(BERGE_MARTINET, n, l)].lower
+            yield cells[(kind, n, l)], src, None, f"rule (2): gamma({n},{l}) >= gamma'({n},{l})"
+
+
+def _rule3(cells, keys):
+    """(3) gamma_{n,l} = gamma_{n,n-l} and gamma'_{n,l} = gamma'_{n,n-l}."""
+    for kind, n, l in keys:
+        src, s = cells[(kind, n, l)], "gamma" if kind == RANKIN else "gamma'"
+        why = f"rule (3): {s}({n},{l}) = {s}({n},{n - l})"
+        yield cells[(kind, n, n - l)], src.lower, src.upper, why
+
+
+def _rule4(cells, keys):
+    """(4) gamma_{n,l} <= gamma_{h,l} * gamma_{n,h}**(l/h) for l < h < n."""
+    for kind, n, l in keys:
+        if kind != RANKIN:
+            continue
+        for h in range(l + 1, n):
+            a, b = cells[(RANKIN, h, l)].upper, cells[(RANKIN, n, h)].upper
+            if a is not None and b is not None:
+                why = f"rule (4): gamma({n},{l}) <= gamma({h},{l}) * gamma({n},{h})^({l}/{h})"
+                yield cells[(kind, n, l)], None, a * b ** Fraction(l, h), why
+
+
+def _rule5a(cells, keys):
+    """(5) gamma_{n,l}**n <= gamma_{n-l,l}**(n-l) * gamma'_{n,l}**(2l), n > 2l."""
+    for kind, n, l in keys:
+        if kind == RANKIN and n > 2 * l:
+            a, b = cells[(RANKIN, n - l, l)].upper, cells[(BERGE_MARTINET, n, l)].upper
+            if a is not None and b is not None:
+                cand = (a ** (n - l) * b ** (2 * l)) ** Fraction(1, n)
+                why = f"rule (5): gamma({n},{l})^{n} <= gamma({n - l},{l})^{n - l} * gamma'({n},{l})^{2 * l}"
+                yield cells[(kind, n, l)], None, cand, why
+
+
+def _rule5b(cells, keys):
+    """(5) gamma'_{n,2l} <= gamma'_{n-l,l}**2, the second form."""
+    for kind, n, l in keys:
+        if kind == BERGE_MARTINET and l % 2 == 0:
+            src = cells[(BERGE_MARTINET, n - l // 2, l // 2)].upper
+            if src is not None:
+                why = f"rule (5): gamma'({n},{l}) <= gamma'({n - l // 2},{l // 2})^2"
+                yield cells[(kind, n, l)], None, src ** 2, why
+
+
+def _rule6(cells, keys):
+    """(6) gamma'_{n,n/2} = gamma_{n,n/2} for even n."""
+    for kind, n, l in keys:
+        if kind == RANKIN and 2 * l == n:
+            a, b = cells[(RANKIN, n, l)], cells[(BERGE_MARTINET, n, l)]
+            why = f"rule (6): gamma'({n},{l}) = gamma({n},{l})"
+            yield b, a.lower, None, why
+            yield a, b.lower, None, why
+            yield b, None, a.upper, why
+            yield a, None, b.upper, why
+
+
+def _rule7(cells, keys):
+    """(7) gamma_{n,l}**(n-2l) <= gamma_{n-l,l}**(n-l) for n > 2l."""
+    for kind, n, l in keys:
+        if kind == RANKIN and n > 2 * l:
+            src = cells[(RANKIN, n - l, l)].upper
+            if src is not None:
+                why = f"rule (7): gamma({n},{l})^{n - 2 * l} <= gamma({n - l},{l})^{n - l}"
+                yield cells[(kind, n, l)], None, src ** Fraction(n - l, n - 2 * l), why
+
+
+def _rule8(cells, keys):
+    """(8) gamma'_{2l+1,1} <= gamma'_{l+1,1}**2."""
+    for kind, n, l in keys:
+        if kind == BERGE_MARTINET and l == 1 and n % 2:
+            src = cells[(BERGE_MARTINET, (n + 1) // 2, 1)].upper
+            if src is not None:
+                why = f"rule (8): gamma'({n},1) <= gamma'({(n + 1) // 2},1)^2"
+                yield cells[(kind, n, l)], None, src ** 2, why
+
+
+# Each profile lists its rules in the order a sweep applies them.  "published"
+# holds exactly the derivations behind the published interval table, so its
+# fixed point reproduces that table.  "full" adds the lower side of (2), (4)
+# and the first form of (5), which tighten some open cells further (rule (4)
+# with h = 4 pulls the (5,2) upper bound below 2).  Both profiles are sound.
+PROFILES = {
+    "published": (_rule3, _rule6, _rule7, _rule5b, _rule8, _rule2u),
+    "full": (_rule3, _rule6, _rule7, _rule5b, _rule5a, _rule8, _rule2u, _rule2l, _rule4),
+}
+
+
+def _tighten(cell: BoundInterval, lower, upper, why: str) -> bool:
+    """Raise cell.lower to `lower` and drop cell.upper to `upper` where that
+    tightens them (None leaves a side alone); True if the cell changed."""
+    changed = False
+    if lower is not None and lower > cell.lower:
+        if cell.upper is not None and lower > cell.upper:
+            raise InconsistentBounds(cell, f"new lower {lower} > upper {cell.upper}")
+        cell.lower = lower
+        cell.provenance.append(f"lower {lower} by {why}")
+        changed = True
+    if upper is not None and (cell.upper is None or upper < cell.upper):
+        if upper < cell.lower:
+            raise InconsistentBounds(cell, f"new upper {upper} < lower {cell.lower}")
+        cell.upper = upper
+        cell.provenance.append(f"upper {upper} by {why}")
+        changed = True
+    return changed
 
 
 def propagate_bounds(
@@ -264,20 +368,17 @@ def propagate_bounds(
     rules: str = "published",
     max_sweeps: int = 64,
 ) -> PropagationResult:
-    """Fixed point of the inequality catalog over the (kind, n, l) grid.
+    """Fixed point of the profile `rules` ("published" or "full") on the grid.
 
     Cells start at [1, unbounded] (the cubic lattice gives 1 as a universal
     lower bound).  Seeds are applied first, then rule sweeps run until no
-    interval tightens; rules only ever tighten, so the published-profile
-    iteration terminates well before the sweep cap.
+    interval tightens; rules only ever tighten, so the iteration terminates
+    well before the sweep cap, whose hit sets `cap_hit`.
     """
-    if isinstance(rules, str):
-        try:
-            active = {"published": PUBLISHED_RULES, "full": FULL_RULES}[rules]
-        except KeyError:
-            raise ValueError(f"unknown rule profile {rules!r}")
-    else:
-        active = tuple(rules)
+    try:
+        profile = PROFILES[rules]
+    except KeyError:
+        raise ValueError(f"unknown rule profile {rules!r}") from None
 
     cells: dict[tuple[str, int, int], BoundInterval] = {}
     for kind in (RANKIN, BERGE_MARTINET):
@@ -285,173 +386,22 @@ def propagate_bounds(
             for l in range(1, n):
                 cells[(kind, n, l)] = BoundInterval(kind, n, l, lower=Radical(1))
 
-    changed = [False]
-
-    def tighten_lower(cell: BoundInterval, value: Radical, why: str):
-        if value > cell.lower:
-            if cell.upper is not None and value > cell.upper:
-                raise InconsistentBounds(cell, f"new lower {value} > upper {cell.upper}")
-            cell.lower = value
-            cell.provenance.append(f"lower {value} by {why}")
-            changed[0] = True
-
-    def tighten_upper(cell: BoundInterval, value: Radical, why: str):
-        if cell.upper is None or value < cell.upper:
-            if value < cell.lower:
-                raise InconsistentBounds(cell, f"new upper {value} < lower {cell.lower}")
-            cell.upper = value
-            cell.provenance.append(f"upper {value} by {why}")
-            changed[0] = True
-
     for seed in seeds:
-        if (seed.kind, seed.n, seed.l) not in cells:
-            continue
-        cell = cells[(seed.kind, seed.n, seed.l)]
-        why = seed.provenance[0] if seed.provenance else "seed"
-        tighten_lower(cell, seed.lower, why)
-        if seed.upper is not None:
-            tighten_upper(cell, seed.upper, why)
+        cell = cells.get((seed.kind, seed.n, seed.l))
+        if cell is not None:
+            why = seed.provenance[0] if seed.provenance else "seed"
+            _tighten(cell, seed.lower, seed.upper, why)
 
-    sym = {RANKIN: "gamma", BERGE_MARTINET: "gamma'"}
-
-    def mirror(kind, n, l, why):
-        a = cells[(kind, n, l)]
-        b = cells[(kind, n, n - l)]
-        tighten_lower(b, a.lower, why)
-        if a.upper is not None:
-            tighten_upper(b, a.upper, why)
-
-    def sweep():
-        keys = sorted(cells)
-        if "3" in active:
-            for kind, n, l in keys:
-                mirror(kind, n, l, f"rule (3): {sym[kind]}({n},{l}) = {sym[kind]}({n},{n - l})")
-        if "6" in active:
-            for n in range(2, n_max + 1, 2):
-                l = n // 2
-                a = cells[(RANKIN, n, l)]
-                b = cells[(BERGE_MARTINET, n, l)]
-                why = f"rule (6): gamma'({n},{l}) = gamma({n},{l})"
-                tighten_lower(b, a.lower, why)
-                tighten_lower(a, b.lower, why)
-                if a.upper is not None:
-                    tighten_upper(b, a.upper, why)
-                if b.upper is not None:
-                    tighten_upper(a, b.upper, why)
-        if "7" in active:
-            for kind, n, l in keys:
-                if kind != RANKIN or n - 2 * l <= 0 or (RANKIN, n - l, l) not in cells:
-                    continue
-                src = cells[(RANKIN, n - l, l)]
-                if src.upper is None:
-                    continue
-                cand = src.upper ** Fraction(n - l, n - 2 * l)
-                tighten_upper(
-                    cells[(kind, n, l)],
-                    cand,
-                    f"rule (7): gamma({n},{l})^{n - 2 * l} <= gamma({n - l},{l})^{n - l}",
-                )
-        if "5b" in active:
-            for kind, n, l in keys:
-                if kind != BERGE_MARTINET or l % 2 or (BERGE_MARTINET, n - l // 2, l // 2) not in cells:
-                    continue
-                half = l // 2
-                src = cells[(BERGE_MARTINET, n - half, half)]
-                if src.upper is None:
-                    continue
-                tighten_upper(
-                    cells[(kind, n, l)],
-                    src.upper ** 2,
-                    f"rule (5): gamma'({n},{l}) <= gamma'({n - half},{half})^2",
-                )
-        if "5a" in active:
-            for kind, n, l in keys:
-                if kind != RANKIN or 2 * l > n or (RANKIN, n - l, l) not in cells:
-                    continue
-                a = cells[(RANKIN, n - l, l)]
-                b = cells[(BERGE_MARTINET, n, l)]
-                if a.upper is None or b.upper is None:
-                    continue
-                cand = (a.upper ** (n - l) * b.upper ** (2 * l)) ** Fraction(1, n)
-                tighten_upper(
-                    cells[(kind, n, l)],
-                    cand,
-                    f"rule (5): gamma({n},{l})^{n} <= "
-                    f"gamma({n - l},{l})^{n - l} * gamma'({n},{l})^{2 * l}",
-                )
-        if "8" in active:
-            for kind, n, l in keys:
-                if kind != BERGE_MARTINET or l != 1 or n % 2 == 0 or n < 3:
-                    continue
-                half = (n + 1) // 2
-                if (BERGE_MARTINET, half, 1) not in cells:
-                    continue
-                src = cells[(BERGE_MARTINET, half, 1)]
-                if src.upper is None:
-                    continue
-                tighten_upper(
-                    cells[(kind, n, l)],
-                    src.upper ** 2,
-                    f"rule (8): gamma'({n},1) <= gamma'({half},1)^2",
-                )
-        if "2u" in active:
-            for kind, n, l in keys:
-                cell = cells[(kind, n, l)]
-                if kind == RANKIN and l >= 2:
-                    src = cells[(RANKIN, n, 1)]
-                    if src.upper is not None:
-                        tighten_upper(
-                            cell,
-                            src.upper ** l,
-                            f"rule (2): gamma({n},{l}) <= gamma({n},1)^{l}",
-                        )
-                if kind == BERGE_MARTINET:
-                    src = cells[(RANKIN, n, l)]
-                    if src.upper is not None:
-                        tighten_upper(
-                            cell,
-                            src.upper,
-                            f"rule (2): gamma'({n},{l}) <= gamma({n},{l})",
-                        )
-        if "2l" in active:
-            for kind, n, l in keys:
-                if kind != RANKIN:
-                    continue
-                src = cells[(BERGE_MARTINET, n, l)]
-                tighten_lower(
-                    cells[(kind, n, l)],
-                    src.lower,
-                    f"rule (2): gamma({n},{l}) >= gamma'({n},{l})",
-                )
-        if "4" in active:
-            for kind, n, l in keys:
-                if kind != RANKIN:
-                    continue
-                for hdim in range(l + 1, n):
-                    a = cells.get((RANKIN, hdim, l))
-                    b = cells.get((RANKIN, n, hdim))
-                    if a is None or b is None or a.upper is None or b.upper is None:
-                        continue
-                    cand = a.upper * b.upper ** Fraction(l, hdim)
-                    tighten_upper(
-                        cells[(kind, n, l)],
-                        cand,
-                        f"rule (4): gamma({n},{l}) <= "
-                        f"gamma({hdim},{l}) * gamma({n},{hdim})^({l}/{hdim})",
-                    )
-
+    keys = sorted(cells)
     sweeps = 0
-    cap_hit = False
     while True:
-        changed[0] = False
-        sweep()
         sweeps += 1
-        if not changed[0]:
-            break
-        if sweeps >= max_sweeps:
-            cap_hit = True
-            break
-    return PropagationResult(cells, sweeps, cap_hit)
+        changed = False
+        for rule in profile:
+            for step in rule(cells, keys):
+                changed |= _tighten(*step)
+        if not changed or sweeps >= max_sweeps:
+            return PropagationResult(cells, sweeps, cap_hit=changed)
 
 
 # -- asymptotic bounds for the half-rank constants --------------------------

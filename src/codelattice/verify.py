@@ -74,18 +74,21 @@ class CheckResult:
     detail: str = ""
 
 
+# Sweep ranges of the parity check checks and the seed of the random corpus.
+PARITY_N = (3, 7)
+PRIMAL_Q = (2, 5)
+DUAL_Q = (2, 3)
+SEED = 20240
+
+
 @dataclass
 class _Config:
-    random_codes: int = 200
-    seed: int = 20240
-    parity_n: tuple[int, int] = (3, 7)
-    primal_q: tuple[int, int] = (2, 5)
-    dual_q: tuple[int, ...] = (2, 3)
-    cap: int = 10_000_000
+    random_codes: int
+    cap: int
 
 
 def _random_codes(cfg: _Config) -> list[LinearCode]:
-    rng = random.Random(cfg.seed)
+    rng = random.Random(SEED)
     out = []
     for _ in range(cfg.random_codes):
         n = rng.randint(2, 6)
@@ -239,8 +242,8 @@ def _check_parity_check_family(cfg):
         cert = _search(lat, 1, 4, cfg)
         parts_e.append(f"gamma({n},1)={fact_val}")
         parts_c.append(f"gamma({n},1)={rankin_invariant(lat, cert)}")
-    lo, hi = cfg.parity_n
-    q_lo, q_hi = cfg.primal_q
+    lo, hi = PARITY_N
+    q_lo, q_hi = PRIMAL_Q
     for q in range(q_lo, q_hi + 1):
         for n in range(lo, hi + 1):
             lat = construction_a(parity_check_code(n, q))
@@ -442,9 +445,9 @@ def _check_rm_last_order(cfg):
 def _check_dual_parity_check(cfg):
     """Dual of the single parity check code: minima, d2 formula, invariants."""
     parts_e, parts_c = [], []
-    lo, hi = cfg.parity_n
+    lo, hi = PARITY_N
     # d1 of the dual-code lattice and the rank-1 dual invariant
-    for q in cfg.dual_q:
+    for q in DUAL_Q:
         for n in range(lo, hi + 1):
             code = parity_check_code(n, q)
             dual = dual_code(code)
@@ -462,7 +465,7 @@ def _check_dual_parity_check(cfg):
         parts_e.append(f"g'({n},1)={expect}")
         parts_c.append(f"g'({n},1)={gp}")
     # d2 of the dual-code lattice
-    for q in cfg.dual_q:
+    for q in DUAL_Q:
         for n in range(lo, hi + 1):
             dual_lat = construction_a(dual_code(parity_check_code(n, q)))
             cert = _search(dual_lat, 2, q ** 4, cfg)
@@ -592,14 +595,16 @@ CHECKS = (
 )
 
 
-def run_checks(filter: str | None = None, **overrides) -> list[CheckResult]:
+def run_checks(
+    filter: str | None = None, random_codes: int = 200, cap: int = 10_000_000
+) -> list[CheckResult]:
     """Run the suite in declared order; failures never abort the run.
 
     `filter` is a substring or fnmatch pattern on check ids; non-matching
-    checks are reported as skipped.  Sweep ranges, the random corpus size
-    and the enumeration cap can be overridden by keyword.
+    checks are reported as skipped.  `random_codes` sizes the random code
+    corpus and `cap` is the enumeration cap of every search.
     """
-    cfg = _Config(**overrides)
+    cfg = _Config(random_codes, cap)
     results = []
     for check_id, fn in CHECKS:
         if filter and filter not in check_id and not fnmatch.fnmatch(check_id, filter):

@@ -112,12 +112,16 @@ def test_criterion_3_berge_martinet_values():
     ]
     ok = True
     for code, l, value in cases:
-        ok = ok and berge_martinet_invariant(code, l, shortcut=False) == value
-    # self-dual shortcut agrees exactly with the generic path
+        ok = ok and berge_martinet_invariant(code, l) == value
+    # self-dual RM(1,3): the reused primal certificate agrees exactly with
+    # sqrt(d_l(L_C) * d_l(L_{C dual})) / q**l from two explicit searches
     rm = reed_muller_code(1, 3)
     for l in (1, 2):
-        ok = ok and berge_martinet_invariant(rm, l, shortcut=True) == \
-            berge_martinet_invariant(rm, l, shortcut=False)
+        primal = minimal_sublattice(construction_a(rm), l, upper_hint=4 ** l)
+        dual = minimal_sublattice(construction_a(dual_code(rm)), l, upper_hint=4 ** l)
+        value = berge_martinet_invariant(rm, l)
+        ok = ok and value == Radical(Fraction(primal.value * dual.value, 4 ** l), 2)
+        ok = ok and value.is_rational()
     _report(3, ok, time.perf_counter() - t0, 60)
 
 

@@ -187,6 +187,8 @@ def test_precision_flag(cache, capsys):
         ["--l", "0"],
         ["--l", "1", "--precision", "0"],
         ["--l", "1", "--precision", "-1"],
+        ["--l", "2", "--max-candidates", "0"],
+        ["--l", "2", "--max-candidates", "-5"],
     ],
 )
 def test_out_of_range_arguments_exit_2(cache, capsys, extra):
@@ -196,6 +198,15 @@ def test_out_of_range_arguments_exit_2(cache, capsys, extra):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument" in err
+    assert "Traceback" not in err
+
+
+def test_negative_random_codes_exits_2(cache, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--random-codes", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --random-codes" in err
     assert "Traceback" not in err
 
 

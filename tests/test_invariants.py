@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from codelattice.codes import extended_hamming_code, parity_check_code, reed_muller_code
+from codelattice.codes import (
+    dual_code,
+    extended_hamming_code,
+    parity_check_code,
+    reed_muller_code,
+)
 from codelattice.exact import Radical
 from codelattice.invariants import (
     BERGE_MARTINET,
@@ -20,6 +25,7 @@ from codelattice.invariants import (
 )
 from codelattice.lattices import construction_a
 from codelattice.sublattice_search import minimal_sublattice
+from propagation_oracle import oracle_propagate_bounds
 
 
 def _gamma_of(code, l):
@@ -71,15 +77,23 @@ def test_berge_martinet_examples():
     assert berge_martinet_invariant(parity_check_code(4, 2), 2) == Radical(Fraction(3, 2))
 
 
+def _two_search_berge_martinet(code, l):
+    """sqrt(d_l(L_C) * d_l(L_{C dual})) / q**l from two explicit searches."""
+    hint = code.q ** (2 * l)
+    primal = minimal_sublattice(construction_a(code), l, upper_hint=hint)
+    dual = minimal_sublattice(construction_a(dual_code(code)), l, upper_hint=hint)
+    return Radical(Fraction(primal.value * dual.value, code.q ** (2 * l)), 2)
+
+
 def test_self_dual_paths_agree():
     for code in (extended_hamming_code(), reed_muller_code(1, 3)):
         for l in (1, 2):
-            short = berge_martinet_invariant(code, l, shortcut=True)
-            generic = berge_martinet_invariant(code, l, shortcut=False)
-            assert short == generic
-            assert short.is_rational()
-    with pytest.raises(ValueError):
-        berge_martinet_invariant(parity_check_code(3, 2), 1, shortcut=True)
+            value = berge_martinet_invariant(code, l)
+            assert value == _two_search_berge_martinet(code, l)
+            assert value.is_rational()
+    # a code that is not self-dual searches its dual lattice
+    code = parity_check_code(3, 2)
+    assert berge_martinet_invariant(code, 1) == _two_search_berge_martinet(code, 1)
 
 
 def test_rankin_certificate_validation():
@@ -178,6 +192,50 @@ def test_sweep_cap_reported():
     full = propagate_bounds(7, standard_seeds(7))
     assert not full.cap_hit
     assert full.sweeps > 1
+
+
+def _same_result(got, want):
+    assert list(got.cells) == list(want.cells)
+    for key, cell in want.cells.items():
+        other = got.cells[key]
+        assert (other.lower, other.upper, other.provenance) == (
+            cell.lower, cell.upper, cell.provenance
+        ), key
+    assert (got.sweeps, got.cap_hit) == (want.sweeps, want.cap_hit)
+
+
+@pytest.mark.parametrize("n_max", range(2, 11))
+def test_matches_string_id_oracle(n_max):
+    seed_sets = {
+        "standard": standard_seeds(n_max),
+        "known": known_fact_seeds(n_max),
+        "none": [],
+    }
+    for seeds in seed_sets.values():
+        for rules in ("published", "full"):
+            for max_sweeps in (1, 2, 3, 64):
+                _same_result(
+                    propagate_bounds(n_max, seeds, rules=rules, max_sweeps=max_sweeps),
+                    oracle_propagate_bounds(n_max, seeds, rules=rules, max_sweeps=max_sweeps),
+                )
+
+
+@pytest.mark.parametrize(
+    "bogus",
+    [
+        BoundInterval(RANKIN, 4, 2, lower=Radical(7), provenance=["bogus seed"]),
+        BoundInterval(BERGE_MARTINET, 5, 2, lower=Radical(7), provenance=["bogus seed"]),
+        BoundInterval(BERGE_MARTINET, 7, 5, lower=Radical(1), upper=Radical(1), provenance=["bogus seed"]),
+    ],
+)
+@pytest.mark.parametrize("rules", ["published", "full"])
+def test_inconsistency_matches_oracle(bogus, rules):
+    seeds = standard_seeds(7) + [bogus]
+    with pytest.raises(InconsistentBounds) as got:
+        propagate_bounds(7, seeds, rules=rules)
+    with pytest.raises(InconsistentBounds) as want:
+        oracle_propagate_bounds(7, seeds, rules=rules)
+    assert str(got.value) == str(want.value)
 
 
 def test_asymptotic_bounds():
