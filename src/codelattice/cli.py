@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import hashlib
-import io
 import json
 import os
 import sys
@@ -41,7 +41,7 @@ from .invariants import (
 from .lattices import (
     IntegralLattice,
     RankDeficient,
-    construction_a,
+    canonical_json,
     det_int,
     gram_matrix,
     lattice_document,
@@ -60,10 +60,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-def _canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _radical_doc(value: Radical, precision: int) -> dict:
@@ -102,8 +98,7 @@ def _resolve_target(args) -> tuple[object | None, IntegralLattice]:
             code = code_from_document(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad code document: {exc}", EXIT_BAD_INPUT)
-        return code, construction_a(code)
-    if args.family:
+    elif args.family:
         doc = {"family": args.family}
         for key in ("n", "q", "r", "m"):
             if getattr(args, key) is not None:
@@ -114,11 +109,46 @@ def _resolve_target(args) -> tuple[object | None, IntegralLattice]:
             raise CliError(f"bad family parameters: --{exc.args[0]} is required", EXIT_BAD_INPUT)
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad family parameters: {exc}", EXIT_BAD_INPUT)
-        return code, construction_a(code)
-    raise CliError("need --spec or --family", EXIT_BAD_INPUT)
+    else:
+        raise CliError("need --spec or --family", EXIT_BAD_INPUT)
+    return code, code.lattice()
 
 
 # -- certificate cache ------------------------------------------------------
+
+
+def _certificate_doc(cert: SearchCertificate, **after_value) -> dict:
+    """The certificate document of `dl` and of a cache entry.
+
+    `after_value` entries follow `value`, in the text rendering too.
+    """
+    return {
+        "l": cert.l,
+        "value": cert.value,
+        **after_value,
+        "witness_rows": [list(r) for r in cert.witness.rows],
+        "per_vector_bound": cert.per_vector_bound,
+        "candidates_examined": cert.candidates_examined,
+        "confirmed_by_escalation": cert.confirmed_by_escalation,
+    }
+
+
+def _certificate_from_doc(doc: dict, lattice: IntegralLattice, l: int) -> SearchCertificate:
+    """Inverse of `_certificate_doc`; the witness must be a rank-l sublattice
+    of `lattice` whose determinant is the stored value."""
+    rows = [list(map(int, r)) for r in doc["witness_rows"]]
+    value = int(doc["value"])
+    witness = sublattice_from_rows(lattice, rows)  # re-validates membership
+    if witness.det_l != value or int(doc["l"]) != l:
+        raise ValueError("certificate does not match its lattice")
+    return SearchCertificate(
+        l,
+        value,
+        witness,
+        int(doc["per_vector_bound"]),
+        int(doc["candidates_examined"]),
+        bool(doc["confirmed_by_escalation"]),
+    )
 
 
 def _cache_dir(args) -> str:
@@ -144,20 +174,7 @@ def _cache_load(cache_dir, lattice, l) -> SearchCertificate | None:
     path = _cache_path(cache_dir, _cache_key(lattice, l))
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rows = [list(map(int, r)) for r in doc["witness_rows"]]
-        value = int(doc["value"])
-        witness = sublattice_from_rows(lattice, rows)  # re-validates membership
-        if witness.det_l != value or int(doc["l"]) != l:
-            raise ValueError("certificate does not match its lattice")
-        return SearchCertificate(
-            l,
-            value,
-            witness,
-            int(doc["per_vector_bound"]),
-            int(doc["candidates_examined"]),
-            bool(doc["confirmed_by_escalation"]),
-        )
+            return _certificate_from_doc(json.load(fh), lattice, l)
     except FileNotFoundError:
         return None
     except Exception as exc:
@@ -169,20 +186,11 @@ def _cache_store(cache_dir, lattice, cert: SearchCertificate) -> None:
     key = _cache_key(lattice, cert.l)
     path = _cache_path(cache_dir, key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    doc = {
-        "key": key,
-        "l": cert.l,
-        "value": cert.value,
-        "witness_rows": [list(r) for r in cert.witness.rows],
-        "per_vector_bound": cert.per_vector_bound,
-        "candidates_examined": cert.candidates_examined,
-        "confirmed_by_escalation": cert.confirmed_by_escalation,
-        "tool_version": __version__,
-    }
+    doc = {**_certificate_doc(cert), "key": key, "tool_version": __version__}
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(doc))
+            fh.write(canonical_json(doc))
         os.replace(tmp, path)  # atomic publish
     except BaseException:
         if os.path.exists(tmp):
@@ -191,37 +199,49 @@ def _cache_store(cache_dir, lattice, cert: SearchCertificate) -> None:
 
 
 def _searched(args, lattice, l, hint) -> tuple[SearchCertificate, bool]:
+    """(certificate, cached): from the cache, else from a search stored there."""
     if l > lattice.n:
         raise CliError(f"--l {l} exceeds the lattice dimension {lattice.n}", EXIT_BAD_INPUT)
     cache_dir = _cache_dir(args)
     cert = _cache_load(cache_dir, lattice, l)
     if cert is not None:
         return cert, True
-    try:
-        cert = minimal_sublattice(lattice, l, upper_hint=hint, cap=args.max_candidates)
-    except EnumerationCap as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE)
+    cert = minimal_sublattice(lattice, l, upper_hint=hint, cap=args.max_candidates)
     _cache_store(cache_dir, lattice, cert)
     return cert, False
+
+
+def _searched_input(args) -> tuple[IntegralLattice, SearchCertificate, bool]:
+    """(lattice, certificate, cached) for the input at rank --l.
+
+    A code input gives the hint q**(2l): q*e_1, ..., q*e_l lie in its lattice.
+    """
+    code, lat = _resolve_target(args)
+    hint = code.q ** (2 * args.l) if code is not None else None
+    return (lat, *_searched(args, lat, args.l, hint))
 
 
 # -- output -----------------------------------------------------------------
 
 
-def _emit(args, doc: dict, csv_fields: list[str] | None = None) -> None:
+def _emit(args, doc: dict) -> None:
     if args.format == "json":
-        sys.stdout.write(_canonical_json(doc))
+        sys.stdout.write(canonical_json(doc))
     elif args.format == "csv":
         flat = _flatten(doc)
-        fields = csv_fields or sorted(flat)
-        buf = io.StringIO()
-        w = _csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
+        w = _csv.DictWriter(sys.stdout, fieldnames=sorted(flat))
         w.writeheader()
         w.writerow(flat)
-        sys.stdout.write(buf.getvalue())
     else:
         for line in _text_lines(doc):
             print(line)
+
+
+def _write_table(columns, rows, sep=",") -> None:
+    """A header line of the column names, then one line per row."""
+    lines = [sep.join(columns)]
+    lines += [sep.join(str(row[c]) for c in columns) for row in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _flatten(doc, prefix="") -> dict:
@@ -269,33 +289,19 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_dl(args) -> int:
-    code, lat = _resolve_target(args)
-    hint = code.q ** (2 * args.l) if code is not None else None
-    cert, cached = _searched(args, lat, args.l, hint)
-    doc = {
-        "l": cert.l,
-        "value": cert.value,
-        "value_exact": _radical_doc(Radical(cert.value), args.precision),
-        "witness_rows": [list(r) for r in cert.witness.rows],
-        "per_vector_bound": cert.per_vector_bound,
-        "candidates_examined": cert.candidates_examined,
-        "confirmed_by_escalation": cert.confirmed_by_escalation,
-        "cached": cached,
-    }
-    _emit(args, doc)
+    _, cert, cached = _searched_input(args)
+    exact = _radical_doc(Radical(cert.value), args.precision)
+    _emit(args, {**_certificate_doc(cert, value_exact=exact), "cached": cached})
     return EXIT_OK
 
 
 def _cmd_gamma(args) -> int:
-    code, lat = _resolve_target(args)
-    hint = code.q ** (2 * args.l) if code is not None else None
-    cert, cached = _searched(args, lat, args.l, hint)
-    value = rankin_invariant(lat, cert)
+    lat, cert, cached = _searched_input(args)
     doc = {
         "kind": "rankin",
         "n": lat.n,
         "l": args.l,
-        "value": _radical_doc(value, args.precision),
+        "value": _radical_doc(rankin_invariant(lat, cert), args.precision),
         "d_l": cert.value,
         "det_gram": lat.det_gram,
         "cached": cached,
@@ -305,18 +311,14 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_gamma_prime(args) -> int:
-    code, lat = _resolve_target(args)
+    code, _ = _resolve_target(args)
     if code is None:
         raise CliError("gamma-prime needs a code input, not raw rows", EXIT_BAD_INPUT)
 
     def search(lattice, l, hint):
-        cert, _ = _searched(args, lattice, l, hint)
-        return cert
+        return _searched(args, lattice, l, hint)[0]
 
-    try:
-        value = berge_martinet_invariant(code, args.l, search=search)
-    except EnumerationCap as exc:
-        raise CliError(str(exc), EXIT_INFEASIBLE)
+    value = berge_martinet_invariant(code, args.l, search=search)
     doc = {
         "kind": "berge_martinet",
         "n": code.n,
@@ -344,17 +346,14 @@ def _cmd_bounds(args) -> int:
                 "provenance": cell.provenance,
             }
         )
-    doc = {"n_max": args.n_max, "rules": args.rules, "cells": rows}
     if args.format == "csv":
-        lines = ["kind,n,l,lower,upper,exact"]
-        for r in rows:
-            upper = "" if r["upper"] is None else r["upper"]["decimal"]
-            lines.append(
-                f"{r['kind']},{r['n']},{r['l']},{r['lower']['decimal']},{upper},{r['exact']}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
+        decimals = [
+            dict(r, lower=r["lower"]["decimal"], upper=r["upper"]["decimal"] if r["upper"] else "")
+            for r in rows
+        ]
+        _write_table(("kind", "n", "l", "lower", "upper", "exact"), decimals)
     else:
-        _emit(args, doc)
+        _emit(args, {"n_max": args.n_max, "rules": args.rules, "cells": rows})
     return EXIT_OK
 
 
@@ -364,29 +363,22 @@ def _cmd_rm_table(args) -> int:
         for r in range(0, m):
             gens = reed_muller_generators(r, m)
             k = len(gens)
-            n = 1 << m
-            lat = construction_a(reed_muller_code(r, m))
             rows.append(
                 {
                     "m": m,
                     "r": r,
                     "k": k,
                     "det_rows": det_int(gram_matrix(gens)),
-                    "det_lattice": lat.det_gram,
-                    "det_lattice_formula": (2 ** (n - k)) ** 2,
+                    "det_lattice": reed_muller_code(r, m).lattice().det_gram,
+                    "det_lattice_formula": (2 ** ((1 << m) - k)) ** 2,
                 }
             )
-    if args.format == "csv":
-        lines = ["m,r,k,det_rows,det_lattice,det_lattice_formula"]
-        for row in rows:
-            lines.append(",".join(str(row[c]) for c in ("m", "r", "k", "det_rows", "det_lattice", "det_lattice_formula")))
-        sys.stdout.write("\n".join(lines) + "\n")
-    elif args.format == "json":
-        sys.stdout.write(_canonical_json({"rows": rows}))
+    if args.format == "json":
+        _emit(args, {"rows": rows})
+    elif args.format == "csv":
+        _write_table(("m", "r", "k", "det_rows", "det_lattice", "det_lattice_formula"), rows)
     else:
-        print("m r k det_rows det_lattice")
-        for row in rows:
-            print(f"{row['m']} {row['r']} {row['k']} {row['det_rows']} {row['det_lattice']}")
+        _write_table(("m", "r", "k", "det_rows", "det_lattice"), rows, sep=" ")
     return EXIT_OK
 
 
@@ -416,24 +408,42 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument(
-        "--precision", type=_int_in(1), default=6, help="decimal display digits (>= 1)"
-    )
-    p.add_argument("--cache", default=None, help="certificate cache directory")
-    p.add_argument(
-        "--max-candidates", type=_int_in(1), default=10_000_000, help="enumeration cap (>= 1)"
-    )
+# Arguments as (flag, add_argument keywords).  Every subcommand takes the
+# common ones first; the search commands take the code input and --l.
+_COMMON = (
+    ("--format", dict(choices=("text", "json", "csv"), default="text")),
+    ("--precision", dict(type=_int_in(1), default=6, help="decimal display digits (>= 1)")),
+    ("--cache", dict(help="certificate cache directory")),
+    ("--max-candidates", dict(type=_int_in(1), default=10_000_000, help="enumeration cap (>= 1)")),
+)
+_CODE_INPUT = (
+    ("--spec", dict(help="JSON code document or {'rows': ...}")),
+    ("--family", dict(choices=FAMILIES)),
+    *((f"--{key}", dict(type=int)) for key in ("n", "q", "r", "m")),
+)
+_SEARCH = _CODE_INPUT + (
+    ("--l", dict(type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")),
+)
 
-
-def _add_code_input(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--spec", default=None, help="JSON code document or {'rows': ...}")
-    p.add_argument("--family", choices=FAMILIES, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+# name, help, handler, arguments after the common ones
+_COMMANDS = (
+    ("build", "build a lattice and print its canonical form", _cmd_build, _CODE_INPUT),
+    ("dl", "minimal rank-l sublattice determinant", _cmd_dl, _SEARCH),
+    ("gamma", "Rankin invariant of the code lattice", _cmd_gamma, _SEARCH),
+    ("gamma-prime", "Berge-Martinet invariant via the dual code", _cmd_gamma_prime, _SEARCH),
+    ("bounds", "exact interval table for the constants", _cmd_bounds, (
+        ("--n-max", dict(type=_int_in(2, 10), default=7)),
+        ("--rules", dict(choices=("published", "full"), default="published")),
+    )),
+    ("rm-table", "Reed-Muller determinant table", _cmd_rm_table, (
+        ("--m-max", dict(type=_int_in(1, 7), default=5)),
+    )),
+    ("verify", "run the reproduction checks", _cmd_verify, (
+        ("--filter", dict()),
+        ("--random-codes",
+         dict(type=_int_in(0), default=200, help="random code corpus size (>= 0)")),
+    )),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,54 +453,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="build a lattice and print its canonical form")
-    _add_common(p)
-    _add_code_input(p)
-    p.set_defaults(fn=_cmd_build)
-
-    p = sub.add_parser("dl", help="minimal rank-l sublattice determinant")
-    _add_common(p)
-    _add_code_input(p)
-    p.add_argument("--l", type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")
-    p.set_defaults(fn=_cmd_dl)
-
-    p = sub.add_parser("gamma", help="Rankin invariant of the code lattice")
-    _add_common(p)
-    _add_code_input(p)
-    p.add_argument("--l", type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")
-    p.set_defaults(fn=_cmd_gamma)
-
-    p = sub.add_parser("gamma-prime", help="Berge-Martinet invariant via the dual code")
-    _add_common(p)
-    _add_code_input(p)
-    p.add_argument("--l", type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")
-    p.set_defaults(fn=_cmd_gamma_prime)
-
-    p = sub.add_parser("bounds", help="exact interval table for the constants")
-    _add_common(p)
-    p.add_argument("--n-max", type=int, default=7)
-    p.add_argument("--rules", choices=("published", "full"), default="published")
-    p.set_defaults(fn=_cmd_bounds)
-
-    p = sub.add_parser("rm-table", help="Reed-Muller determinant table")
-    _add_common(p)
-    p.add_argument("--m-max", type=int, default=5)
-    p.set_defaults(fn=_cmd_rm_table)
-
-    p = sub.add_parser("verify", help="run the reproduction checks")
-    _add_common(p)
-    p.add_argument("--filter", default=None)
-    p.add_argument(
-        "--random-codes", type=_int_in(0), default=200, help="random code corpus size (>= 0)"
-    )
-    p.set_defaults(fn=_cmd_verify)
-
+    for name, help_text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _COMMON + arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=handler)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every `main` call reuses, built on the first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

@@ -13,7 +13,7 @@ import json
 from math import comb
 
 from .enumeration import CertificateError
-from .lattices import IntegralLattice, construction_a, hnf, inverse_times
+from .lattices import IntegralLattice, canonical_json, construction_a, hnf, inverse_times
 
 __all__ = [
     "EnumerationTooLarge",
@@ -53,11 +53,11 @@ class EnumerationTooLarge(ValueError):
 class LinearCode:
     """Linear code over Z_q given by generator rows (entries in [0, q)).
 
-    Immutable; the Construction A lattice and the cardinality are computed
+    Immutable; the Construction A lattice and the dual code are computed
     once on demand and cached.
     """
 
-    __slots__ = ("q", "n", "generators", "family", "params", "_lattice")
+    __slots__ = ("q", "n", "generators", "family", "params", "_lattice", "_dual")
 
     def __init__(self, q: int, n: int, generators, family=None, params=None):
         q = int(q)
@@ -79,6 +79,7 @@ class LinearCode:
         self.family = family
         self.params = dict(params) if params else None
         self._lattice = None
+        self._dual = None
 
     def lattice(self) -> IntegralLattice:
         if self._lattice is None:
@@ -263,21 +264,24 @@ def zero_code(n: int, q: int) -> LinearCode:
 
 
 def dual_code(code: LinearCode) -> LinearCode:
-    """Dual code, computed through the lattice route.
+    """Dual code, computed through the lattice route and cached on `code`.
 
     q times the dual basis of the Construction A lattice is an integral
     matrix spanning the lattice of the dual code; reducing its HNF rows
-    mod q yields generators of the dual code.
+    mod q yields generators of the dual code.  The dual's own lattice is
+    built from those generators, not taken from this HNF, so that checks
+    comparing the two routes stay independent.
     """
-    q, n = code.q, code.n
-    basis = [list(r) for r in code.lattice().basis]
-    scaled_inv = inverse_times(basis, q)
-    dual_rows = [[scaled_inv[i][j] for i in range(n)] for j in range(n)]
-    h, rank = hnf(dual_rows)
-    if rank != n:
-        raise CertificateError(f"dual basis has rank {rank}, not {n}")
-    gens = [[e % q for e in row] for row in h]
-    return LinearCode(q, n, gens)
+    if code._dual is None:
+        q, n = code.q, code.n
+        basis = [list(r) for r in code.lattice().basis]
+        scaled_inv = inverse_times(basis, q)
+        dual_rows = [[scaled_inv[i][j] for i in range(n)] for j in range(n)]
+        h, rank = hnf(dual_rows)
+        if rank != n:
+            raise CertificateError(f"dual basis has rank {rank}, not {n}")
+        code._dual = LinearCode(q, n, [[e % q for e in row] for row in h])
+    return code._dual
 
 
 def dual_code_lattice(code: LinearCode) -> IntegralLattice:
@@ -287,7 +291,7 @@ def dual_code_lattice(code: LinearCode) -> IntegralLattice:
     by exact rescaling: d_l of the dual lattice equals d_l of this lattice
     divided by q**(2l).
     """
-    return construction_a(dual_code(code))
+    return dual_code(code).lattice()
 
 
 def same_row_space(a: LinearCode, b: LinearCode) -> bool:
@@ -314,7 +318,7 @@ def code_document(code: LinearCode) -> dict:
 
 
 def dump_code(code: LinearCode) -> str:
-    return json.dumps(code_document(code), sort_keys=True, indent=2) + "\n"
+    return canonical_json(code_document(code))
 
 
 def code_from_document(doc: dict) -> LinearCode:

@@ -120,9 +120,9 @@ def berge_martinet_invariant(code: LinearCode, l: int, search=None) -> Radical:
 
     q = code.q
     hint = q ** (2 * l)
-    lattice = construction_a(code)
+    lattice = code.lattice()
     primal = search(lattice, l, hint)
-    dual_lattice = construction_a(dual_code(code))
+    dual_lattice = dual_code(code).lattice()
     dual = primal if dual_lattice == lattice else search(dual_lattice, l, hint)
     return Radical(Fraction(primal.value * dual.value, q ** (2 * l)), 2)
 
@@ -374,6 +374,8 @@ def propagate_bounds(
     lower bound).  Seeds are applied first, then rule sweeps run until no
     interval tightens; rules only ever tighten, so the iteration terminates
     well before the sweep cap, whose hit sets `cap_hit`.
+    Under "full", n_max >= 11 raises ValueError: rules (4) and (5) build
+    radicands past Python's 4300-digit int-to-str limit for provenance.
     """
     try:
         profile = PROFILES[rules]

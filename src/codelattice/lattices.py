@@ -32,6 +32,7 @@ __all__ = [
     "gamma_ratio",
     "lattice_document",
     "dump_lattice",
+    "canonical_json",
 ]
 
 
@@ -326,4 +327,9 @@ def lattice_document(lattice: IntegralLattice) -> dict:
 
 def dump_lattice(lattice: IntegralLattice) -> str:
     """Canonical text form; byte-comparable after normalisation."""
-    return json.dumps(lattice_document(lattice), sort_keys=True, indent=2) + "\n"
+    return canonical_json(lattice_document(lattice))
+
+
+def canonical_json(doc) -> str:
+    """The package's JSON text form: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

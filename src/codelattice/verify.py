@@ -15,7 +15,6 @@ the report states this explicitly.
 from __future__ import annotations
 
 import fnmatch
-import json
 import random
 import time
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from .invariants import (
 )
 from .lattices import (
     IntegralLattice,
+    canonical_json,
     construction_a,
     det_int,
     gamma_ratio,
@@ -642,7 +642,7 @@ def render_report(results: list[CheckResult], fmt: str = "text") -> str:
                 for r in results
             ],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return canonical_json(doc)
     if fmt == "csv":
         lines = ["check_id,status,runtime_ms"]
         lines += [f"{r.check_id},{r.status},{r.runtime_ms}" for r in results]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import codelattice
 from codelattice.cli import main
 
 
@@ -62,6 +67,26 @@ def test_gamma_json_round_trip(cache, capsys):
     assert doc["value"] == {"num": 2, "den": 1, "root": 1, "decimal": "2.00000"}
     # canonical emitter: parse and re-render byte-identically
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == out
+
+
+def test_warm_gamma_prime_computes_the_dual_once(cache, capsys, monkeypatch):
+    argv = ["gamma-prime", "--family", "reed_muller", "--r", "1", "--m", "4", "--l", "1"]
+    assert main(argv) == 0  # fills the cache
+    counts = {"hnf": 0, "inverse_times": 0}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "codelattice"]
+    for name in counts:
+        original = getattr(codelattice.lattices, name)
+
+        def counted(*args, _name=name, _fn=original):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert main(argv) == 0
+    # the code's lattice, the dual's HNF and the dual's lattice
+    assert counts == {"hnf": 3, "inverse_times": 1}
 
 
 def test_gamma_prime(cache, capsys):
@@ -193,21 +218,36 @@ def test_precision_flag(cache, capsys):
 )
 def test_out_of_range_arguments_exit_2(cache, capsys, extra):
     argv = ["gamma", "--family", "parity_check", "--n", "4", "--q", "2"] + extra
+    assert "error: argument" in _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n-max", "1"],
+        ["bounds", "--n-max", "-3"],
+        ["bounds", "--n-max", "11", "--rules", "full"],
+        ["rm-table", "--m-max", "0"],
+        ["rm-table", "--m-max", "8"],
+    ],
+)
+def test_out_of_range_table_sizes_exit_2(cache, capsys, argv):
+    assert f"error: argument {argv[1]}" in _usage_error(capsys, argv)
+
+
+def test_negative_random_codes_exits_2(cache, capsys):
+    err = _usage_error(capsys, ["verify", "--random-codes", "-1"])
+    assert "error: argument --random-codes" in err
+
+
+def _usage_error(capsys, argv) -> str:
+    """stderr of a request the parser rejects with exit 2 and no traceback."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "error: argument" in err
     assert "Traceback" not in err
-
-
-def test_negative_random_codes_exits_2(cache, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--random-codes", "-1"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "error: argument --random-codes" in err
-    assert "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("command", ["dl", "gamma", "gamma-prime"])
@@ -220,23 +260,72 @@ def test_rank_above_dimension_exits_2(cache, capsys, command):
     assert "Traceback" not in err
 
 
-def test_out_of_range_rank_exits_2_from_the_shell(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import codelattice
-
+def _run_in_own_process(argv, module=("-m", "codelattice.cli")):
+    """(exit code, stdout, stderr) of `python -m codelattice.cli argv`, or of
+    another `module` invocation, in a fresh interpreter."""
     src = str(Path(codelattice.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-m", "codelattice.cli", "gamma", "--family", "parity_check",
-         "--n", "4", "--q", "2", "--l", "7", "--cache", str(tmp_path)],
+        [sys.executable, *module, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_out_of_range_rank_exits_2_from_the_shell(tmp_path):
+    code, _, err = _run_in_own_process(
+        ["gamma", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "7",
+         "--cache", str(tmp_path)]
+    )
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_parser_reuse_matches_separate_processes(tmp_path, capsys, monkeypatch):
+    """main() reuses one parser per process; interleaved requests, an
+    argparse error among them, must print what each prints on its own."""
+    monkeypatch.setenv("COLUMNS", "80")  # the same usage wrapping in both
+    requests = [
+        ["dl", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "2", "--format", "json"],
+        ["bounds", "--n-max", "5", "--format", "csv"],
+        ["gamma", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "9"],
+        ["rm-table", "--m-max", "3"],
+    ]
+    requests.append(requests[0])  # a warm cache hit after the error
+    alone, together = [], []
+    for argv in requests:
+        alone.append(_run_in_own_process([*argv, "--cache", str(tmp_path / "alone")]))
+    for argv in requests:
+        try:
+            code = main([*argv, "--cache", str(tmp_path / "together")])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        together.append((code, out.out, out.err))
+    assert [c for c, _, _ in together] == [0, 0, 2, 0, 0]
+    assert json.loads(together[-1][1])["cached"] is True
+    assert together == alone
+
+
+def test_one_parser_per_process_none_at_import(cache, capsys, monkeypatch):
+    from codelattice import cli
+
+    built = []
+
+    def counted_build(real=cli.build_parser):
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["rm-table", "--m-max", "1"]) == 0
+    assert len(built) == 1
+    _, out, _ = _run_in_own_process(
+        ["import codelattice.cli as cli; print(cli._parser.cache_info().currsize)"],
+        module=("-c",),
+    )
+    assert out == "0\n"
