@@ -27,8 +27,7 @@ from .codes import (
     code_document,
     code_from_document,
     is_self_dual,
-    reed_muller_code,
-    reed_muller_generators,
+    reed_muller_table,
 )
 from .enumeration import EnumerationCap
 from .exact import Radical
@@ -42,8 +41,6 @@ from .lattices import (
     IntegralLattice,
     RankDeficient,
     canonical_json,
-    det_int,
-    gram_matrix,
     lattice_document,
     sublattice_from_rows,
 )
@@ -358,21 +355,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_rm_table(args) -> int:
-    rows = []
-    for m in range(1, args.m_max + 1):
-        for r in range(0, m):
-            gens = reed_muller_generators(r, m)
-            k = len(gens)
-            rows.append(
-                {
-                    "m": m,
-                    "r": r,
-                    "k": k,
-                    "det_rows": det_int(gram_matrix(gens)),
-                    "det_lattice": reed_muller_code(r, m).lattice().det_gram,
-                    "det_lattice_formula": (2 ** ((1 << m) - k)) ** 2,
-                }
-            )
+    rows = [
+        {
+            "m": m,
+            "r": r,
+            "k": k,
+            "det_rows": det_rows,
+            "det_lattice": det_lattice,
+            "det_lattice_formula": (2 ** ((1 << m) - k)) ** 2,
+        }
+        for m, r, k, det_rows, det_lattice in reed_muller_table(args.m_max)
+    ]
     if args.format == "json":
         _emit(args, {"rows": rows})
     elif args.format == "csv":

@@ -13,7 +13,15 @@ import json
 from math import comb
 
 from .enumeration import CertificateError
-from .lattices import IntegralLattice, canonical_json, construction_a, hnf, inverse_times
+from .lattices import (
+    IntegralLattice,
+    canonical_json,
+    construction_a,
+    det_int,
+    dual_basis,
+    gram_matrix,
+    hnf,
+)
 
 __all__ = [
     "EnumerationTooLarge",
@@ -22,6 +30,7 @@ __all__ = [
     "parity_check_code",
     "reed_muller_generators",
     "reed_muller_code",
+    "reed_muller_table",
     "extended_hamming_code",
     "full_code",
     "zero_code",
@@ -37,9 +46,6 @@ __all__ = [
     "load_code",
     "save_code",
 ]
-
-FAMILIES = ("parity_check", "reed_muller", "extended_hamming", "full", "zero")
-
 
 class EnumerationTooLarge(ValueError):
     """Codeword enumeration would exceed the configured cap."""
@@ -260,6 +266,31 @@ def zero_code(n: int, q: int) -> LinearCode:
     return LinearCode(q, n, (), family="zero", params={"n": n, "q": q})
 
 
+# family name -> (constructor, names of its parameters in argument order)
+FAMILIES = {
+    "parity_check": (parity_check_code, ("n", "q")),
+    "reed_muller": (reed_muller_code, ("r", "m")),
+    "extended_hamming": (extended_hamming_code, ()),
+    "full": (full_code, ("n", "q")),
+    "zero": (zero_code, ("n", "q")),
+}
+
+
+def reed_muller_table(m_max: int) -> list[tuple[int, int, int, int, int]]:
+    """(m, r, k, det_rows, det_lattice) for 1 <= m <= m_max and 0 <= r < m.
+
+    k is the number of generator rows of B(r, m), det_rows the determinant
+    of their Gram matrix and det_lattice that of the code lattice.
+    """
+    table = []
+    for m in range(1, m_max + 1):
+        for r in range(m):
+            rows = reed_muller_generators(r, m)
+            det_lattice = LinearCode(2, 1 << m, rows).lattice().det_gram
+            table.append((m, r, len(rows), det_int(gram_matrix(rows)), det_lattice))
+    return table
+
+
 # -- duality --------------------------------------------------------------
 
 
@@ -274,10 +305,7 @@ def dual_code(code: LinearCode) -> LinearCode:
     """
     if code._dual is None:
         q, n = code.q, code.n
-        basis = [list(r) for r in code.lattice().basis]
-        scaled_inv = inverse_times(basis, q)
-        dual_rows = [[scaled_inv[i][j] for i in range(n)] for j in range(n)]
-        h, rank = hnf(dual_rows)
+        h, rank = hnf(dual_basis(code.lattice(), q))
         if rank != n:
             raise CertificateError(f"dual basis has rank {rank}, not {n}")
         code._dual = LinearCode(q, n, [[e % q for e in row] for row in h])
@@ -324,17 +352,10 @@ def dump_code(code: LinearCode) -> str:
 def code_from_document(doc: dict) -> LinearCode:
     if "family" in doc:
         family = doc["family"]
-        if family == "parity_check":
-            return parity_check_code(int(doc["n"]), int(doc["q"]))
-        if family == "reed_muller":
-            return reed_muller_code(int(doc["r"]), int(doc["m"]))
-        if family == "extended_hamming":
-            return extended_hamming_code()
-        if family == "full":
-            return full_code(int(doc["n"]), int(doc["q"]))
-        if family == "zero":
-            return zero_code(int(doc["n"]), int(doc["q"]))
-        raise ValueError(f"unknown family {family!r} (known: {FAMILIES})")
+        if not isinstance(family, str) or family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r} (known: {tuple(FAMILIES)})")
+        make, names = FAMILIES[family]
+        return make(*(int(doc[name]) for name in names))
     if "generators" in doc:
         return LinearCode(int(doc["q"]), int(doc["n"]), doc["generators"])
     raise ValueError("code document needs either 'family' or 'generators'")

@@ -23,7 +23,7 @@ __all__ = [
     "gram_matrix",
     "det_int",
     "hnf",
-    "inverse_times",
+    "dual_basis",
     "IntegralLattice",
     "construction_a",
     "is_even",
@@ -134,35 +134,25 @@ def hnf(rows) -> tuple[list[list[int]], int]:
     return work[:pivot], pivot
 
 
-def inverse_times(mat, scalar: int) -> list[list[int]]:
-    """scalar * mat^{-1} as an integer matrix (error if not integral)."""
-    n = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(scalar if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
-        if piv is None:
-            raise RankDeficient(col, n)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n, 2 * n):
-            v = aug[i][j]
-            if v.denominator != 1:
-                raise ValueError("inverse times scalar is not integral")
-            row.append(v.numerator)
-        out.append(row)
-    return out
+def dual_basis(lattice: IntegralLattice, q: int) -> list[list[int]]:
+    """Rows of q * (B^{-1})^T for the HNF basis B: a basis of q times the
+    dual lattice (error if not integral).
+
+    B is upper triangular, so column j of q * B^{-1}, which is row j here,
+    solves B x = q * e_j by integer back substitution; an entry that does
+    not divide exactly means q * L* is not integral.
+    """
+    b = lattice.basis
+    rows = []
+    for j in range(lattice.n):
+        x = [0] * lattice.n
+        for i in range(j, -1, -1):
+            s = (q if i == j else 0) - sum(b[i][k] * x[k] for k in range(i + 1, j + 1))
+            if s % b[i][i]:
+                raise ValueError("q times the dual basis is not integral")
+            x[i] = s // b[i][i]
+        rows.append(x)
+    return rows
 
 
 def _check_hnf(basis) -> None:

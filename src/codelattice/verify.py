@@ -3,9 +3,18 @@
 Every check pins an exactly known value or a closed-form formula for one
 of the classical code/lattice families and recomputes it end to end with
 the independent machinery (codeword closure, HNF determinants, complete
-enumeration, certified sublattice search).  A check passes iff the
-expected and computed renderings agree exactly; there are no tolerances
-anywhere, decimals are display only.
+enumeration, certified sublattice search).
+
+The check contract.  A check is a plain function of one `_Context`, which
+`run_checks` builds once per call: the enumeration cap, the family corpus
+and the random corpus.  It returns a non-empty list of claims, each a pair
+of strings (expected, computed).  `run_checks` joins each side with "; "
+into the report's expected and computed fields, and the check passes iff
+the two agree exactly; there are no tolerances anywhere, decimals are
+display only.  A check that raises fails, with the exception as its detail;
+this is how a search or a codeword enumeration over the cap is reported.
+Checks are eager functions, not generators, so timing a call times the
+check.
 
 The constants for cells like (5,2) or (7,2) are open problems: the suite
 certifies per-lattice values and implication-derived intervals only, and
@@ -15,12 +24,15 @@ the report states this explicitly.
 from __future__ import annotations
 
 import fnmatch
+import functools
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .codes import (
+    EnumerationTooLarge,
     LinearCode,
     dual_code,
     extended_hamming_code,
@@ -28,6 +40,7 @@ from .codes import (
     parity_check_code,
     reed_muller_code,
     reed_muller_generators,
+    reed_muller_table,
     weight_report,
 )
 from .exact import Radical
@@ -43,12 +56,10 @@ from .invariants import (
 from .lattices import (
     IntegralLattice,
     canonical_json,
-    construction_a,
     det_int,
+    dual_basis,
     gamma_ratio,
     gram_matrix,
-    hnf,
-    inverse_times,
     is_even,
     sublattice_from_rows,
 )
@@ -75,22 +86,26 @@ class CheckResult:
 
 
 # Sweep ranges of the parity check checks and the seed of the random corpus.
-PARITY_N = (3, 7)
-PRIMAL_Q = (2, 5)
+PARITY_N = range(3, 8)
+PRIMAL_Q = range(2, 6)
 DUAL_Q = (2, 3)
 SEED = 20240
 
 
-@dataclass
-class _Config:
-    random_codes: int
+@dataclass(frozen=True)
+class _Context:
+    """What every check reads; built once per `run_checks` call, so the
+    lattices and duals the corpus codes cache are shared by the checks."""
+
     cap: int
+    family: list[LinearCode]
+    random: list[LinearCode]
 
 
-def _random_codes(cfg: _Config) -> list[LinearCode]:
+def _random_codes(count: int) -> list[LinearCode]:
     rng = random.Random(SEED)
     out = []
-    for _ in range(cfg.random_codes):
+    for _ in range(count):
         n = rng.randint(2, 6)
         q = rng.choice((2, 3, 4))
         k = rng.randint(1, n)
@@ -106,109 +121,99 @@ def _family_corpus() -> list[LinearCode]:
     return corpus
 
 
-def _search(lattice, l, hint, cfg: _Config):
-    return minimal_sublattice(lattice, l, upper_hint=hint, cap=cfg.cap)
+def _enumerable(code: LinearCode, cap: int) -> LinearCode:
+    """`code`, once its codewords are known to fit under the cap."""
+    if code.cardinality > cap:
+        raise EnumerationTooLarge(code.cardinality, cap)
+    return code
+
+
+def _tally(what: str, bad: list, total: int) -> tuple[str, str]:
+    """The claim that no code of `total` is `bad`, naming the first three."""
+    found = f"{len(bad)} {what} on {total} codes" + (f": {bad[:3]}" if bad else "")
+    return f"0 {what} on {total} codes", found
 
 
 # -- individual checks ------------------------------------------------------
 
 
-def _check_det_formula(cfg):
+def _check_det_formula(ctx):
     """det of the code lattice equals (q^n / |C|)^2, |C| counted directly."""
-    pairs = []
-    for code in _family_corpus() + _random_codes(cfg)[:40]:
-        count = len(code.codewords())
-        lat = construction_a(code)
-        pairs.append((Fraction(code.q ** code.n, count) ** 2, lat.det_gram))
+    claims = []
+    for code in ctx.family + ctx.random[:40]:
+        count = len(_enumerable(code, ctx.cap).codewords())
         if count != code.cardinality:
             raise CertificateError(
                 f"{count} codewords counted, cardinality {code.cardinality} from the lattice"
             )
-    expected = "; ".join(str(a) for a, _ in pairs)
-    computed = "; ".join(str(Fraction(b)) for _, b in pairs)
-    return expected, computed
+        expected = Fraction(code.q ** code.n, count) ** 2
+        claims.append((str(expected), str(code.lattice().det_gram)))
+    return claims
 
 
-def _check_d1_formula(cfg):
-    """Minimum of the code lattice equals min(q^2, d_E)."""
+def _check_d1_formula(ctx):
+    """Minimum of the code lattice equals min(q^2, d_E), and q^2 for the zero code."""
+    codes = ctx.family + ctx.random
     mismatches = []
-    total = 0
-    for code in _family_corpus() + _random_codes(cfg):
-        total += 1
-        q = code.q
-        try:
-            de = weight_report(code, cfg.cap).d_euclidean
-        except ValueError:
-            de = None  # zero code
-        expect = q * q if de is None else min(q * q, de)
-        got, _ = lattice_minimum(construction_a(code))
+    for code in codes:
+        expect = code.q ** 2
+        if code.generators:
+            expect = min(expect, weight_report(code, ctx.cap).d_euclidean)
+        got, _ = lattice_minimum(code.lattice())
         if got != expect:
             mismatches.append((code.q, code.n, expect, got))
-    return f"0 mismatches on {total} codes", (
-        f"{len(mismatches)} mismatches on {total} codes"
-        + (f": {mismatches[:3]}" if mismatches else "")
-    )
+    return [_tally("mismatches", mismatches, len(codes))]
 
 
-def _check_rank2_code_bound(cfg):
+def _check_rank2_code_bound(ctx):
     """Rank-2 bound min(q^4, q^2 (d_E - b^2)) is valid; tight on R(1,3)."""
     violations = 0
     total = 0
-    for code in _family_corpus() + _random_codes(cfg)[:40]:
+    for code in ctx.family + ctx.random[:40]:
         if code.n < 2 or not code.generators:
             continue
         total += 1
-        bound = rank2_code_bound(code)
-        cert = _search(construction_a(code), 2, code.q ** 4, cfg)
-        if cert.value > bound:
-            violations += 1
+        bound = rank2_code_bound(_enumerable(code, ctx.cap))
+        cert = minimal_sublattice(code.lattice(), 2, upper_hint=code.q ** 4, cap=ctx.cap)
+        violations += cert.value > bound
     rm = reed_muller_code(1, 3)
     bound_rm = rank2_code_bound(rm)
-    d2_rm = _search(construction_a(rm), 2, 16, cfg).value
+    d2_rm = minimal_sublattice(rm.lattice(), 2, upper_hint=16, cap=ctx.cap).value
     gamma_bound = Radical(min(Fraction(1), Fraction(bound_rm, 16)), 1) * Radical(
         Fraction(rm.cardinality), 1
     ) ** Fraction(4, 8)
-    expected = f"valid on {total}; tight bound 12 = d2 12; gamma bound 3"
-    computed = (
-        f"valid on {total - violations}; tight bound {bound_rm} = d2 {d2_rm}; "
-        f"gamma bound {gamma_bound}"
-    )
-    return expected, computed
+    return [
+        (f"valid on {total}", f"valid on {total - violations}"),
+        ("tight bound 12 = d2 12", f"tight bound {bound_rm} = d2 {d2_rm}"),
+        ("gamma bound 3", f"gamma bound {gamma_bound}"),
+    ]
 
 
-def _check_even_lattice_rank2(cfg):
+def _check_even_lattice_rank2(ctx):
     """Even lattices have rank-2 sublattice determinants >= 3."""
-    parts_e, parts_c = [], []
-    for n in range(3, 8):
-        lat = construction_a(parity_check_code(n, 2))
-        d2 = _search(lat, 2, 16, cfg).value
-        parts_e.append("even d2>=3")
-        parts_c.append(
-            "even d2>=3" if is_even(lat) and d2 >= 3 else f"violation n={n}"
-        )
-    rm_lat = construction_a(reed_muller_code(1, 3))
-    d2 = _search(rm_lat, 2, 16, cfg).value
-    parts_e.append("even d2>=3")
-    parts_c.append("even d2>=3" if is_even(rm_lat) and d2 >= 3 else "violation RM")
+    named = [(f"n={n}", parity_check_code(n, 2)) for n in range(3, 8)]
+    named.append(("RM", reed_muller_code(1, 3)))
+    claims = []
+    for name, code in named:
+        lat = code.lattice()
+        d2 = minimal_sublattice(lat, 2, upper_hint=16, cap=ctx.cap).value
+        even = is_even(lat) and d2 >= 3
+        claims.append(("even d2>=3", "even d2>=3" if even else f"violation {name}"))
     zn = IntegralLattice.from_rows([[1 if j == i else 0 for j in range(4)] for i in range(4)])
-    parts_e.append("Z^4 odd")
-    parts_c.append("Z^4 odd" if not is_even(zn) else "Z^4 even?!")
-    return "; ".join(parts_e), "; ".join(parts_c)
+    claims.append(("Z^4 odd", "Z^4 odd" if not is_even(zn) else "Z^4 even?!"))
+    return claims
 
 
-def _check_code_lattice_duality(cfg):
+def _check_code_lattice_duality(ctx):
     """q/dual-basis round trip, |C||Cdual| = q^n, unimodular iff self-dual."""
     bad = []
-    corpus = _family_corpus() + _random_codes(cfg)[:40]
-    for code in corpus:
+    codes = ctx.family + ctx.random[:40]
+    for code in codes:
         q, n = code.q, code.n
         lat = code.lattice()
         dual = dual_code(code)
-        # round trip: HNF of q * (basis^{-1})^T equals the dual-code basis
-        scaled_inv = inverse_times([list(r) for r in lat.basis], q)
-        dual_rows = [[scaled_inv[i][j] for i in range(n)] for j in range(n)]
-        h, _ = hnf(dual_rows)
-        if tuple(tuple(r) for r in h) != dual.lattice().basis:
+        # round trip: q times the dual basis spans the dual code's lattice
+        if IntegralLattice.from_rows(dual_basis(lat, q)) != dual.lattice():
             bad.append(("roundtrip", q, n))
         if code.cardinality * dual.cardinality != q ** n:
             bad.append(("cardinality", q, n))
@@ -218,42 +223,33 @@ def _check_code_lattice_duality(cfg):
             for gd in dual.generators
         ):
             bad.append(("orthogonality", q, n))
-        dd = dual_code(dual)
-        if dd.lattice() != lat:
+        if dual_code(dual).lattice() != lat:
             bad.append(("double dual", q, n))
         # (1/sqrt(q)) L_C is unimodular iff it is integral (Gram divisible
         # by q) with determinant 1, which must coincide with C self-dual.
         unimodular = lat.det_gram == q ** n and all(
             e % q == 0 for row in lat.gram for e in row
         )
-        self_dual = lat == dual.lattice()
-        if unimodular != self_dual:
+        if unimodular != (lat == dual.lattice()):
             bad.append(("unimodular iff self-dual", q, n))
-    return f"0 violations on {len(corpus)} codes", (
-        f"{len(bad)} violations on {len(corpus)} codes" + (f": {bad[:3]}" if bad else "")
-    )
+    return [_tally("violations", bad, len(codes))]
 
 
-def _check_parity_check_family(cfg):
+def _check_parity_check_family(ctx):
     """Single parity check family: Hermite values, d2 = 3, rank-2 invariant."""
-    parts_e, parts_c = [], []
+    claims = []
     for n, fact_val in ((3, Radical(2, 3)), (4, Radical(2, 2)), (5, Radical(8, 5))):
-        lat = construction_a(parity_check_code(n, 2))
-        cert = _search(lat, 1, 4, cfg)
-        parts_e.append(f"gamma({n},1)={fact_val}")
-        parts_c.append(f"gamma({n},1)={rankin_invariant(lat, cert)}")
-    lo, hi = PARITY_N
-    q_lo, q_hi = PRIMAL_Q
-    for q in range(q_lo, q_hi + 1):
-        for n in range(lo, hi + 1):
-            lat = construction_a(parity_check_code(n, q))
-            cert = _search(lat, 2, q ** 4, cfg)
-            parts_e.append(f"d2(n={n},q={q})=3")
-            parts_c.append(f"d2(n={n},q={q})={cert.value}")
+        lat = parity_check_code(n, 2).lattice()
+        cert = minimal_sublattice(lat, 1, upper_hint=4, cap=ctx.cap)
+        claims.append((f"gamma({n},1)={fact_val}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
+    for q in PRIMAL_Q:
+        for n in PARITY_N:
+            lat = parity_check_code(n, q).lattice()
+            cert = minimal_sublattice(lat, 2, upper_hint=q ** 4, cap=ctx.cap)
             expected_gamma = Radical(Fraction(3 ** n, q ** 4), n)
-            parts_e.append(f"g2={expected_gamma}")
-            parts_c.append(f"g2={rankin_invariant(lat, cert)}")
-    return "; ".join(parts_e), "; ".join(parts_c)
+            claims.append((f"d2(n={n},q={q})=3", f"d2(n={n},q={q})={cert.value}"))
+            claims.append((f"g2={expected_gamma}", f"g2={rankin_invariant(lat, cert)}"))
+    return claims
 
 
 RM_TABLE = (
@@ -276,20 +272,15 @@ RM_TABLE = (
 )
 
 
-def _check_rm_table(cfg):
+def _check_rm_table(ctx):
     """Reed-Muller table: generator-row Gram dets and code lattice dets."""
-    parts_e, parts_c = [], []
-    for m, r, k, det_rows in RM_TABLE:
-        rows = reed_muller_generators(r, m)
-        parts_e.append(f"k({r},{m})={k}")
-        parts_c.append(f"k({r},{m})={len(rows)}")
-        parts_e.append(f"detB={det_rows}")
-        parts_c.append(f"detB={det_int(gram_matrix(rows))}")
-        n = 1 << m
-        lat = construction_a(reed_muller_code(r, m))
-        parts_e.append(f"detL={(2 ** (n - k)) ** 2}")
-        parts_c.append(f"detL={lat.det_gram}")
-    return "; ".join(parts_e), "; ".join(parts_c)
+    claims = []
+    for (m, r, k, det_rows), row in zip(RM_TABLE, reed_muller_table(5), strict=True):
+        m_got, r_got, k_got, det_rows_got, det_lattice = row
+        claims.append((f"k({r},{m})={k}", f"k({r_got},{m_got})={k_got}"))
+        claims.append((f"detB={det_rows}", f"detB={det_rows_got}"))
+        claims.append((f"detL={(2 ** ((1 << m) - k)) ** 2}", f"detL={det_lattice}"))
+    return claims
 
 
 def _first_order_allones_rows(m: int) -> list[list[int]]:
@@ -304,82 +295,64 @@ def _first_order_allones_rows(m: int) -> list[list[int]]:
     return rows
 
 
-def _check_rm_row_determinants(cfg):
+def _check_rm_row_determinants(ctx):
     """First-order generator matrices: full and submatrix determinants."""
-    from itertools import combinations
-
-    parts_e, parts_c = [], []
+    claims = []
     for m in range(2, 6):
-        rows = reed_muller_generators(1, m)
+        gram = gram_matrix(reed_muller_generators(1, m))
+        prime = gram_matrix(_first_order_allones_rows(m))
         expect_full = 4 * 2 ** ((m - 2) * (m + 1))
-        parts_e.append(f"det(1,{m})={expect_full}")
-        parts_c.append(f"det(1,{m})={det_int(gram_matrix(rows))}")
-        prime = _first_order_allones_rows(m)
+        claims.append((f"det(1,{m})={expect_full}", f"det(1,{m})={det_int(gram)}"))
+        # the Gram matrix of a subset of rows is a principal submatrix
         for size in range(1, m + 2):
             for subset in combinations(range(m + 1), size):
-                sub = [prime[i] for i in subset]
-                got = det_int(gram_matrix(sub))
-                if 0 in subset:
-                    expect = 4 * 2 ** ((m - 2) * size)
-                else:
-                    expect = (1 + size) * 2 ** ((m - 2) * size)
-                parts_e.append(f"{m}:{subset}={expect}")
-                parts_c.append(f"{m}:{subset}={got}")
-        diag_even = all(
-            gram_matrix(prime)[i][i] % 2 == 0 for i in range(m + 1)
-        ) and all(gram_matrix(rows)[i][i] % 2 == 0 for i in range(m + 1))
-        parts_e.append(f"{m}:even diag")
-        parts_c.append(f"{m}:even diag" if diag_even else f"{m}:odd diag")
-    return "; ".join(parts_e), "; ".join(parts_c)
+                got = det_int([[prime[i][j] for j in subset] for i in subset])
+                expect = (4 if 0 in subset else 1 + size) * 2 ** ((m - 2) * size)
+                claims.append((f"{m}:{subset}={expect}", f"{m}:{subset}={got}"))
+        diag_even = all(g[i][i] % 2 == 0 for g in (prime, gram) for i in range(m + 1))
+        claims.append((f"{m}:even diag", f"{m}:even diag" if diag_even else f"{m}:odd diag"))
+    return claims
 
 
-def _check_rm_first_order(cfg):
+def _check_rm_first_order(ctx):
     """First-order Reed-Muller lattices: Hermite values and subratios."""
-    parts_e, parts_c = [], []
+    claims = []
+    lats = {m: reed_muller_code(1, m).lattice() for m in (2, 3, 4)}
     # Hermite values: sqrt(2) at m=2, then 2^(2(m+1)/2^m)
-    for m in (2, 3, 4):
+    for m, lat in lats.items():
         n = 1 << m
-        lat = construction_a(reed_muller_code(1, m))
-        cert = _search(lat, 1, 4, cfg)
-        if m == 2:
-            expect = Radical(2, 2)
-        else:
-            expect = Radical(2) ** Fraction(2 * (m + 1), n)
-        parts_e.append(f"gamma({n},1)={expect}")
-        parts_c.append(f"gamma({n},1)={rankin_invariant(lat, cert)}")
+        cert = minimal_sublattice(lat, 1, upper_hint=4, cap=ctx.cap)
+        expect = Radical(2, 2) if m == 2 else Radical(2) ** Fraction(2 * (m + 1), n)
+        claims.append((f"gamma({n},1)={expect}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
     # rank-2 subratio 3 at m=3; the Rankin invariant itself is 3 there
-    lat3 = construction_a(reed_muller_code(1, 3))
-    prime3 = _first_order_allones_rows(3)
+    lat3, prime3 = lats[3], _first_order_allones_rows(3)
     sub = sublattice_from_rows(lat3, [prime3[1], prime3[2]])
-    parts_e.append("ratio(8,2)=3")
-    parts_c.append(f"ratio(8,2)={gamma_ratio(lat3, sub)}")
-    cert2 = _search(lat3, 2, 16, cfg)
-    parts_e.append("gamma(8,2)=3")
-    parts_c.append(f"gamma(8,2)={rankin_invariant(lat3, cert2)}")
+    claims.append(("ratio(8,2)=3", f"ratio(8,2)={gamma_ratio(lat3, sub)}"))
+    cert2 = minimal_sublattice(lat3, 2, upper_hint=16, cap=ctx.cap)
+    claims.append(("gamma(8,2)=3", f"gamma(8,2)={rankin_invariant(lat3, cert2)}"))
     # m=4, l=2: the q-hypercube plane beats the generator-row planes
-    lat4 = construction_a(reed_muller_code(1, 4))
-    prime4 = _first_order_allones_rows(4)
+    lat4, prime4 = lats[4], _first_order_allones_rows(4)
     cands = {
         "rows no1": det_int(gram_matrix([prime4[1], prime4[2]])),
         "rows with1": det_int(gram_matrix([prime4[0], prime4[1]])),
         "2Z^2": 16,
     }
     best = min(cands, key=lambda k: (cands[k], k))
-    parts_e.append("m=4 min cand=2Z^2 (16 < 48 <= 64)")
-    parts_c.append(
-        f"m=4 min cand={best} ({cands['2Z^2']} < {cands['rows no1']} <= {cands['rows with1']})"
-    )
+    claims.append((
+        "m=4 min cand=2Z^2 (16 < 48 <= 64)",
+        f"m=4 min cand={best} ({cands['2Z^2']} < {cands['rows no1']} <= {cands['rows with1']})",
+    ))
     rows2z = [[2 if j == 0 else 0 for j in range(16)], [2 if j == 1 else 0 for j in range(16)]]
     sub2z = sublattice_from_rows(lat4, rows2z)
     # det quotient: 16 / (2^22)^(1/8) = 2^(5/4)
-    parts_e.append(f"ratio(16,2)={Radical(2) ** Fraction(5, 4)}")
-    parts_c.append(f"ratio(16,2)={gamma_ratio(lat4, sub2z)}")
+    claims.append(
+        (f"ratio(16,2)={Radical(2) ** Fraction(5, 4)}", f"ratio(16,2)={gamma_ratio(lat4, sub2z)}")
+    )
     # l = 3, 4 at m = 3: both subratios are 4
     for l in (3, 4):
         sub_l = sublattice_from_rows(lat3, prime3[:l])
-        parts_e.append(f"ratio(8,{l})=4")
-        parts_c.append(f"ratio(8,{l})={gamma_ratio(lat3, sub_l)}")
-    return "; ".join(parts_e), "; ".join(parts_c)
+        claims.append((f"ratio(8,{l})=4", f"ratio(8,{l})={gamma_ratio(lat3, sub_l)}"))
+    return claims
 
 
 E8_GRAM = (
@@ -394,99 +367,88 @@ E8_GRAM = (
 )
 
 
-def _check_e8_gram(cfg):
+def _check_e8_gram(ctx):
     """The 8x8 even unimodular Gram matrix and its code construction."""
-    parts_e, parts_c = [], []
-    parts_e.append("det=1")
-    parts_c.append(f"det={det_int([list(r) for r in E8_GRAM])}")
-    parts_e.append("even")
-    parts_c.append("even" if all(E8_GRAM[i][i] % 2 == 0 for i in range(8)) else "odd")
-    lat = construction_a(extended_hamming_code())
+    even = all(E8_GRAM[i][i] % 2 == 0 for i in range(8))
     doubled = tuple(tuple(2 * e for e in row) for row in E8_GRAM)
-    parts_e.append("gram(L_EH)=2*G")
-    parts_c.append("gram(L_EH)=2*G" if lat.gram == doubled else "gram mismatch")
-    return "; ".join(parts_e), "; ".join(parts_c)
+    same = extended_hamming_code().lattice().gram == doubled
+    return [
+        ("det=1", f"det={det_int([list(r) for r in E8_GRAM])}"),
+        ("even", "even" if even else "odd"),
+        ("gram(L_EH)=2*G", "gram(L_EH)=2*G" if same else "gram mismatch"),
+    ]
 
 
-def _check_rm_last_order(cfg):
+def _check_rm_last_order(ctx):
     """R(m-1, m) is the single parity check code; values are consistent."""
-    parts_e, parts_c = [], []
+    claims = []
     for m in (2, 3, 4):
         n = 1 << m
-        rm = reed_muller_code(m - 1, m)
-        pc = parity_check_code(n, 2)
-        lat = construction_a(rm)
-        parts_e.append(f"m={m} same lattice")
-        parts_c.append(
-            f"m={m} same lattice" if lat == construction_a(pc) else f"m={m} differ"
-        )
-        cert1 = _search(lat, 1, 4, cfg)
+        lat = reed_muller_code(m - 1, m).lattice()
+        same = lat == parity_check_code(n, 2).lattice()
+        claims.append((f"m={m} same lattice", f"m={m} same lattice" if same else f"m={m} differ"))
+        cert1 = minimal_sublattice(lat, 1, upper_hint=4, cap=ctx.cap)
         expect1 = Radical(Fraction(2 ** n, 4), n)  # 2 / 2^(2/n)
-        parts_e.append(f"gamma({n},1)={expect1}")
-        parts_c.append(f"gamma({n},1)={rankin_invariant(lat, cert1)}")
+        claims.append((f"gamma({n},1)={expect1}", f"gamma({n},1)={rankin_invariant(lat, cert1)}"))
         prime = _first_order_allones_rows(m)
         sub2 = sublattice_from_rows(lat, [prime[1], prime[2]])
         expect2 = Radical(Fraction((3 * 4 ** (m - 2)) ** n, 16), n)
-        parts_e.append(f"ratio({n},2)={expect2}")
-        parts_c.append(f"ratio({n},2)={gamma_ratio(lat, sub2)}")
+        claims.append((f"ratio({n},2)={expect2}", f"ratio({n},2)={gamma_ratio(lat, sub2)}"))
         if m >= 3:
             sub3 = sublattice_from_rows(lat, prime[:3])
             expect3 = Radical(Fraction((4 * 2 ** (3 * (m - 2))) ** n, 4 ** 3), n)
-            parts_e.append(f"ratio({n},3)={expect3}")
-            parts_c.append(f"ratio({n},3)={gamma_ratio(lat, sub3)}")
+            claims.append((f"ratio({n},3)={expect3}", f"ratio({n},3)={gamma_ratio(lat, sub3)}"))
     # at m=2 the rank-2 upper bound from the subratio is attained: 3/2
-    lat4 = construction_a(parity_check_code(4, 2))
-    cert = _search(lat4, 2, 16, cfg)
-    parts_e.append("gamma(4,2)=3/2")
-    parts_c.append(f"gamma(4,2)={rankin_invariant(lat4, cert)}")
-    return "; ".join(parts_e), "; ".join(parts_c)
+    lat4 = parity_check_code(4, 2).lattice()
+    cert = minimal_sublattice(lat4, 2, upper_hint=16, cap=ctx.cap)
+    claims.append(("gamma(4,2)=3/2", f"gamma(4,2)={rankin_invariant(lat4, cert)}"))
+    return claims
 
 
-def _check_dual_parity_check(cfg):
+def _check_dual_parity_check(ctx):
     """Dual of the single parity check code: minima, d2 formula, invariants."""
-    parts_e, parts_c = [], []
-    lo, hi = PARITY_N
+
+    def search(lattice, l, hint):
+        return minimal_sublattice(lattice, l, upper_hint=hint, cap=ctx.cap)
+
+    # one code object per (n, q), so that its lattice and dual are built once
+    code = functools.cache(parity_check_code)
+
+    @functools.cache
+    def gamma_prime(n, q, l):
+        return berge_martinet_invariant(code(n, q), l, search)
+
+    claims = []
     # d1 of the dual-code lattice and the rank-1 dual invariant
     for q in DUAL_Q:
-        for n in range(lo, hi + 1):
-            code = parity_check_code(n, q)
-            dual = dual_code(code)
-            got, _ = lattice_minimum(construction_a(dual))
-            parts_e.append(f"d1*(n={n},q={q})={min(n, q * q)}")
-            parts_c.append(f"d1*(n={n},q={q})={got}")
-            gp1 = berge_martinet_invariant(code, 1)
+        for n in PARITY_N:
+            got, _ = lattice_minimum(dual_code(code(n, q)).lattice())
+            claims.append((f"d1*(n={n},q={q})={min(n, q * q)}", f"d1*(n={n},q={q})={got}"))
             expect1 = Radical(Fraction(2 * min(n, q * q), q * q), 2)
-            parts_e.append(f"g'1={expect1}")
-            parts_c.append(f"g'1={gp1}")
+            claims.append((f"g'1={expect1}", f"g'1={gamma_prime(n, q, 1)}"))
     # q = 2 rank-1 values
     named = {2: Radical(1), 3: Radical(Fraction(3, 2), 2), 4: Radical(2, 2), 5: Radical(2, 2)}
     for n, expect in named.items():
-        gp = berge_martinet_invariant(parity_check_code(n, 2), 1)
-        parts_e.append(f"g'({n},1)={expect}")
-        parts_c.append(f"g'({n},1)={gp}")
+        claims.append((f"g'({n},1)={expect}", f"g'({n},1)={gamma_prime(n, 2, 1)}"))
     # d2 of the dual-code lattice
     for q in DUAL_Q:
-        for n in range(lo, hi + 1):
-            dual_lat = construction_a(dual_code(parity_check_code(n, q)))
-            cert = _search(dual_lat, 2, q ** 4, cfg)
-            parts_e.append(f"d2*(n={n},q={q})={min(q ** 4, q * q * (n - 1))}")
-            parts_c.append(f"d2*(n={n},q={q})={cert.value}")
-            gp2 = berge_martinet_invariant(parity_check_code(n, q), 2)
+        for n in PARITY_N:
+            dual_lat = dual_code(code(n, q)).lattice()
+            cert = minimal_sublattice(dual_lat, 2, upper_hint=q ** 4, cap=ctx.cap)
+            expect_d2 = min(q ** 4, q * q * (n - 1))
+            claims.append((f"d2*(n={n},q={q})={expect_d2}", f"d2*(n={n},q={q})={cert.value}"))
             expect2 = Radical(Fraction(3 * min(q * q, n - 1), q * q), 2)
-            parts_e.append(f"g'2={expect2}")
-            parts_c.append(f"g'2={gp2}")
-    gp42 = berge_martinet_invariant(parity_check_code(4, 2), 2)
-    parts_e.append("g'(4,2)=3/2")
-    parts_c.append(f"g'(4,2)={gp42}")
+            claims.append((f"g'2={expect2}", f"g'2={gamma_prime(n, q, 2)}"))
+    claims.append(("g'(4,2)=3/2", f"g'(4,2)={gamma_prime(4, 2, 2)}"))
     sqrt3 = Radical(3, 2)
     for n in (5, 6, 7):
-        gp = berge_martinet_invariant(parity_check_code(n, 2), 2)
-        parts_e.append(f"g'({n},2)>=sqrt3")
-        parts_c.append(f"g'({n},2)>=sqrt3" if gp >= sqrt3 else f"g'({n},2)={gp}")
-    return "; ".join(parts_e), "; ".join(parts_c)
+        gp = gamma_prime(n, 2, 2)
+        shown = f"g'({n},2)>=sqrt3" if gp >= sqrt3 else f"g'({n},2)={gp}"
+        claims.append((f"g'({n},2)>=sqrt3", shown))
+    return claims
 
 
-def _check_bound_intervals(cfg):
+def _check_bound_intervals(ctx):
     """Interval table for the open cells, with rule provenance and decimals."""
     res = propagate_bounds(7, standard_seeds(7))
     targets = [
@@ -495,44 +457,41 @@ def _check_bound_intervals(cfg):
         (BERGE_MARTINET, 5, 2, Radical(3, 2), Radical(2), "rule (5)", (5, 1)),
         (BERGE_MARTINET, 7, 2, Radical(3, 2), Radical(Fraction(8, 3)), "rule (5)", (5, 5)),
     ]
-    decimals = {"expected": ["1.723", "2.0189", "3.1748", "1.7321", "2.6667"]}
-    parts_e, parts_c, rendered = [], [], []
+    claims, rendered = [], []
     for kind, n, l, lower, upper, rule, (dl, du) in targets:
         cell = res.cell(kind, n, l)
-        parts_e.append(f"{kind}({n},{l})=[{lower},{upper}] via {rule}")
         used = rule if any(rule in p for p in cell.provenance) else "no " + rule
-        parts_c.append(f"{kind}({n},{l})=[{cell.lower},{cell.upper}] via {used}")
+        claims.append((
+            f"{kind}({n},{l})=[{lower},{upper}] via {rule}",
+            f"{kind}({n},{l})=[{cell.lower},{cell.upper}] via {used}",
+        ))
         rendered.append((cell.lower.to_decimal(dl), cell.upper.to_decimal(du)))
     shown = [rendered[0][0], rendered[1][0], rendered[1][1], rendered[2][0], rendered[3][1]]
-    parts_e.append("decimals " + ",".join(decimals["expected"]))
-    parts_c.append("decimals " + ",".join(shown))
-    return "; ".join(parts_e), "; ".join(parts_c)
+    claims.append(("decimals 1.723,2.0189,3.1748,1.7321,2.6667", "decimals " + ",".join(shown)))
+    return claims
 
 
-def _check_cardinality_bound_tightness(cfg):
+def _check_cardinality_bound_tightness(ctx):
     """gamma_{n,l}(L_C) <= |C|^(2l/n), attained by R(1,3) at l = 1."""
     rm = reed_muller_code(1, 3)
-    lat = construction_a(rm)
-    cert = _search(lat, 1, 4, cfg)
-    g81 = rankin_invariant(lat, cert)
-    cap = Radical(Fraction(rm.cardinality)) ** Fraction(2, 8)
-    parts_e = ["gamma(8,1)=2", "cap=2", "bound holds on corpus"]
+    lat = rm.lattice()
+    g81 = rankin_invariant(lat, minimal_sublattice(lat, 1, upper_hint=4, cap=ctx.cap))
+    bound = Radical(Fraction(rm.cardinality)) ** Fraction(2, 8)
     violations = 0
-    for code in _family_corpus():
-        card = code.cardinality
-        clat = construction_a(code)
+    for code in ctx.family:
+        clat = code.lattice()
         for l in (1, 2):
             if l > clat.n:
                 continue
-            c = _search(clat, l, code.q ** (2 * l), cfg)
-            if rankin_invariant(clat, c) > Radical(Fraction(card)) ** Fraction(2 * l, code.n):
-                violations += 1
-    parts_c = [
-        f"gamma(8,1)={g81}",
-        f"cap={cap}",
-        "bound holds on corpus" if violations == 0 else f"{violations} violations",
+            c = minimal_sublattice(clat, l, upper_hint=code.q ** (2 * l), cap=ctx.cap)
+            card = Radical(Fraction(code.cardinality))
+            violations += rankin_invariant(clat, c) > card ** Fraction(2 * l, code.n)
+    holds = "bound holds on corpus"
+    return [
+        ("gamma(8,1)=2", f"gamma(8,1)={g81}"),
+        ("cap=2", f"cap={bound}"),
+        (holds, f"{violations} violations" if violations else holds),
     ]
-    return "; ".join(parts_e), "; ".join(parts_c)
 
 
 def _form_minimum(g, radius: int) -> Fraction:
@@ -552,7 +511,7 @@ def _form_minimum(g, radius: int) -> Fraction:
     return best
 
 
-def _check_a2_benchmark(cfg):
+def _check_a2_benchmark(ctx):
     """The (2,1) value 2/sqrt(3) against the hand Gram [[2,1],[1,2]].
 
     This cell has no code construction (the known-values table records no
@@ -568,12 +527,11 @@ def _check_a2_benchmark(cfg):
     dual_min = _form_minimum(dual, 2)
     value = (Radical(primal_min) * Radical(dual_min)) ** Fraction(1, 2)
     fact = known_fact(BERGE_MARTINET, 2, 1)
-    parts_e = [f"g'(2,1)={fact.value}", "no code construction recorded"]
-    parts_c = [
-        f"g'(2,1)={value}",
-        "no code construction recorded" if fact.source == "" else f"source={fact.source}",
+    source = "no code construction recorded" if fact.source == "" else f"source={fact.source}"
+    return [
+        (f"g'(2,1)={fact.value}", f"g'(2,1)={value}"),
+        ("no code construction recorded", source),
     ]
-    return "; ".join(parts_e), "; ".join(parts_c)
 
 
 CHECKS = (
@@ -602,9 +560,10 @@ def run_checks(
 
     `filter` is a substring or fnmatch pattern on check ids; non-matching
     checks are reported as skipped.  `random_codes` sizes the random code
-    corpus and `cap` is the enumeration cap of every search.
+    corpus and `cap` caps the sublattice searches and codeword enumerations
+    that the checks run.
     """
-    cfg = _Config(random_codes, cap)
+    ctx = _Context(cap, _family_corpus(), _random_codes(random_codes))
     results = []
     for check_id, fn in CHECKS:
         if filter and filter not in check_id and not fnmatch.fnmatch(check_id, filter):
@@ -612,7 +571,9 @@ def run_checks(
             continue
         t0 = time.perf_counter()
         try:
-            expected, computed = fn(cfg)
+            claims = fn(ctx)
+            expected = "; ".join(e for e, _ in claims)
+            computed = "; ".join(c for _, c in claims)
             status = "pass" if expected == computed else "fail"
             detail = ""
         except Exception as exc:  # individual failures are recorded

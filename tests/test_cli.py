@@ -72,7 +72,7 @@ def test_gamma_json_round_trip(cache, capsys):
 def test_warm_gamma_prime_computes_the_dual_once(cache, capsys, monkeypatch):
     argv = ["gamma-prime", "--family", "reed_muller", "--r", "1", "--m", "4", "--l", "1"]
     assert main(argv) == 0  # fills the cache
-    counts = {"hnf": 0, "inverse_times": 0}
+    counts = {"hnf": 0, "dual_basis": 0}
     modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "codelattice"]
     for name in counts:
         original = getattr(codelattice.lattices, name)
@@ -86,7 +86,7 @@ def test_warm_gamma_prime_computes_the_dual_once(cache, capsys, monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     assert main(argv) == 0
     # the code's lattice, the dual's HNF and the dual's lattice
-    assert counts == {"hnf": 3, "inverse_times": 1}
+    assert counts == {"hnf": 3, "dual_basis": 1}
 
 
 def test_gamma_prime(cache, capsys):
@@ -162,7 +162,7 @@ def test_verify_failure_exit(cache, capsys, monkeypatch):
     import codelattice.verify as verify
 
     original = verify.CHECKS
-    verify.CHECKS = (("always_fails", lambda cfg: ("a", "b")),)
+    verify.CHECKS = (("always_fails", lambda ctx: [("a", "b")]),)
     try:
         code, out, _ = _run(capsys, ["verify"])
         assert code == 1

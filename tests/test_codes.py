@@ -5,6 +5,7 @@ import pytest
 
 from codelattice.lattices import construction_a
 from codelattice.codes import (
+    FAMILIES,
     EnumerationTooLarge,
     LinearCode,
     code_from_document,
@@ -176,8 +177,25 @@ def test_dual_code_lattice():
 def test_document_errors():
     with pytest.raises(ValueError):
         code_from_document({"q": 2, "n": 3})
-    with pytest.raises(ValueError):
-        code_from_document({"q": 2, "n": 3, "family": "nonsense"})
+    known = "(known: ('parity_check', 'reed_muller', 'extended_hamming', 'full', 'zero'))"
+    for family in ("nonsense", ["parity_check"], 3):
+        with pytest.raises(ValueError) as info:
+            code_from_document({"q": 2, "n": 3, "family": family})
+        assert str(info.value) == f"unknown family {family!r} {known}"
+    # a missing parameter is a KeyError naming it, in the constructor's order
+    with pytest.raises(KeyError, match="'r'"):
+        code_from_document({"family": "reed_muller"})
+    with pytest.raises(KeyError, match="'q'"):
+        code_from_document({"family": "parity_check", "n": 3})
+
+
+def test_family_table_dispatch():
+    params = {"n": 4, "q": 3, "r": 1, "m": 3}
+    for family, (make, names) in FAMILIES.items():
+        args = [params[name] for name in names]
+        code = code_from_document({"family": family, **{name: params[name] for name in names}})
+        assert code == make(*args)
+        assert code.family == family
 
 
 def test_generators_reduced_and_zero_rows_dropped():

@@ -11,6 +11,7 @@ from codelattice.lattices import (
     RankDeficient,
     construction_a,
     det_int,
+    dual_basis,
     gamma_ratio,
     hnf,
     is_even,
@@ -18,6 +19,7 @@ from codelattice.lattices import (
     dump_lattice,
     sublattice_from_rows,
 )
+from dual_oracle import dual_basis as oracle_dual_basis
 
 
 def _random_code(rng, n_max=6, q_max=5):
@@ -152,18 +154,32 @@ def test_scaling_covariance():
 
 def test_duality_round_trip():
     from codelattice.codes import dual_code
-    from codelattice.lattices import inverse_times
 
     rng = random.Random(10)
     for _ in range(40):
         code = _random_code(rng, n_max=5, q_max=4)
         lat = construction_a(code)
-        q, n = code.q, code.n
-        scaled_inv = inverse_times([list(r) for r in lat.basis], q)
-        dual_rows = [[scaled_inv[i][j] for i in range(n)] for j in range(n)]
-        h, rank = hnf(dual_rows)
-        assert rank == n
+        h, rank = hnf(dual_basis(lat, code.q))
+        assert rank == code.n
         assert tuple(tuple(r) for r in h) == construction_a(dual_code(code)).basis
+
+
+def test_dual_basis_matches_fraction_oracle():
+    rng = random.Random(11)
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        q = rng.randint(2, 9)
+        k = rng.randint(0, n)
+        code = LinearCode(q, n, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+        lat = code.lattice()
+        assert dual_basis(lat, q) == oracle_dual_basis(lat, q)
+    # a scale that does not clear the denominators of the dual basis
+    for basis, q in (([[2]], 3), ([[1, 1], [0, 2]], 1), ([[3, 1], [0, 3]], 3)):
+        lat = IntegralLattice(basis)
+        with pytest.raises(ValueError, match="not integral"):
+            dual_basis(lat, q)
+        with pytest.raises(ValueError, match="not integral"):
+            oracle_dual_basis(lat, q)
 
 
 def test_membership_solver():

@@ -1,5 +1,7 @@
+import inspect
 import json
 
+import codelattice.verify as verify
 from codelattice.verify import OPEN_CONSTANTS_NOTE, render_report, run_checks
 
 
@@ -53,8 +55,6 @@ def test_report_formats():
 
 
 def test_failures_recorded_not_raised():
-    import codelattice.verify as verify
-
     def boom(cfg):
         raise RuntimeError("synthetic")
 
@@ -67,3 +67,23 @@ def test_failures_recorded_not_raised():
         assert results[1].status == "pass"
     finally:
         verify.CHECKS = original
+
+
+def test_checks_return_claim_lists():
+    # eager functions: a timer around the call must see the check's work
+    ctx = verify._Context(10_000_000, verify._family_corpus(), verify._random_codes(5))
+    for check_id, fn in verify.CHECKS:
+        assert not inspect.isgeneratorfunction(fn), check_id
+        claims = fn(ctx)
+        assert isinstance(claims, list) and claims, check_id
+        for claim in claims:
+            assert isinstance(claim, tuple) and len(claim) == 2, (check_id, claim)
+            assert all(isinstance(side, str) for side in claim), (check_id, claim)
+
+
+def test_d1_over_cap_reports_the_cap():
+    # codes above the cap are not scored as zero codes
+    [result] = [r for r in run_checks("d1_formula", cap=100) if r.status != "skipped"]
+    assert result.status == "fail"
+    assert result.detail.startswith("EnumerationTooLarge"), result.detail
+    assert "cap 100" in result.detail
