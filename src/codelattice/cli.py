@@ -44,7 +44,7 @@ from .lattices import (
     lattice_document,
     sublattice_from_rows,
 )
-from .sublattice_search import SearchCertificate, minimal_sublattice
+from .sublattice_search import SEARCH_VERSION, SearchCertificate, minimal_sublattice
 from .verify import render_report, run_checks
 
 EXIT_OK = 0
@@ -159,7 +159,9 @@ def _cache_dir(args) -> str:
 
 
 def _cache_key(lattice: IntegralLattice, l: int) -> str:
-    blob = json.dumps([list(r) for r in lattice.basis] + [l], sort_keys=True)
+    """Hash of the basis, the rank and the search version: an entry written
+    by an older search is a miss, not a certificate with other fields."""
+    blob = json.dumps([list(r) for r in lattice.basis] + [l, SEARCH_VERSION], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

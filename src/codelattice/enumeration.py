@@ -219,9 +219,11 @@ def lattice_minimum(lattice: IntegralLattice) -> tuple[int, tuple[int, ...]]:
     """Minimal nonzero squared norm with a witness vector.
 
     The minimum of the Gram diagonal is an upper bound achieved by a basis
-    vector, so one complete enumeration below it suffices.
+    vector, so one complete enumeration below it suffices.  The result is
+    cached on the (immutable) lattice, so each lattice enumerates once.
     """
-    start = min(lattice.gram[i][i] for i in range(lattice.n))
-    found = short_vectors(lattice, start)
-    best = found.vectors[0]
-    return best.norm, best.coords
+    if lattice._minimum is None:
+        start = min(lattice.gram[i][i] for i in range(lattice.n))
+        best = short_vectors(lattice, start).vectors[0]
+        lattice._minimum = (best.norm, best.coords)
+    return lattice._minimum

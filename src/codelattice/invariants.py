@@ -183,19 +183,24 @@ def known_fact_seeds(n_max: int) -> list[BoundInterval]:
     return seeds
 
 
-def standard_seeds(n_max: int) -> list[BoundInterval]:
+def standard_seeds(n_max: int, cap: int = 10_000_000) -> list[BoundInterval]:
     """Known facts plus this library's own lattice lower bounds.
 
     The single parity check code at q = 2 supplies, for every n, a rank-2
     sublattice of determinant 3 (lower bound 3/4**(2/n) on the Rankin
     constant) and, combined with its dual, the lower bound
-    (1/2) * sqrt(3 * min(4, n-1)) on the Berge-Martinet constant.
+    (1/2) * sqrt(3 * min(4, n-1)) on the Berge-Martinet constant.  `cap`
+    caps every sublattice search made for these seeds.
     """
+
+    def search(lat, rank, hint):
+        return minimal_sublattice(lat, rank, upper_hint=hint, cap=cap)
+
     seeds = known_fact_seeds(n_max)
     for n in range(3, min(n_max, 8) + 1):
         code = parity_check_code(n, 2)
         lat = construction_a(code)
-        cert = minimal_sublattice(lat, 2, upper_hint=16)
+        cert = search(lat, 2, 16)
         gl = rankin_invariant(lat, cert)
         seeds.append(
             BoundInterval(
@@ -209,7 +214,7 @@ def standard_seeds(n_max: int) -> list[BoundInterval]:
                 ],
             )
         )
-        gp = berge_martinet_invariant(code, 2)
+        gp = berge_martinet_invariant(code, 2, search)
         seeds.append(
             BoundInterval(
                 BERGE_MARTINET,

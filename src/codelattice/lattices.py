@@ -179,10 +179,11 @@ def _check_hnf(basis) -> None:
 class IntegralLattice:
     """Full-rank integral lattice with a canonical HNF basis.
 
-    Immutable after construction; all methods are pure.
+    Immutable after construction; all methods are pure.  `_minimum` caches
+    what `enumeration.lattice_minimum` returns for this lattice.
     """
 
-    __slots__ = ("n", "basis", "gram", "det_gram")
+    __slots__ = ("n", "basis", "gram", "det_gram", "_minimum")
 
     def __init__(self, basis):
         """basis must be the row HNF that `hnf` returns for a full-rank span:
@@ -196,6 +197,7 @@ class IntegralLattice:
         for i in range(self.n):
             d *= self.basis[i][i]
         self.det_gram = d * d
+        self._minimum = None
 
     @classmethod
     def from_rows(cls, rows) -> "IntegralLattice":

@@ -50,12 +50,35 @@ sharp, so none is made.  The scan gives the number of leaves and the
 lexicographically smallest sorted row list at the value;
 `confirmed_by_escalation` records that it found nothing below the value.
 
-Determinism: the confirm scan depends only on the proven value (never on
-hints), with a fixed prune threshold, and reports the lexicographically
-smallest sorted row list among minimal tuples.  Hints and caching
-therefore never change the returned value or witness, only the work
-performed.  The witness is re-checked against the value by an exact
-determinant; a mismatch raises CertificateError.
+The Hermite floor often proves the value before that scan.  Every rank-l
+sublattice M has det M >= lambda1(M)**(2l) / gamma_l**l by the definition
+of Hermite's constant gamma_l, and lambda1(M) >= lambda1(L), so
+
+    d_l >= floor_l = ceil(lambda1**(2l) / gamma_l**l),
+    gamma_l**l = 1, 4/3, 2, 4 for l = 1, 2, 3, 4
+
+(Conway & Sloane, SPLAG ch. 1 section 2).  Determinants are integers, hence
+the ceiling.  Once the value is <= floor_l it equals d_l (a valid value is
+never below d_l), so no further walk or growth pool is needed; the
+extremal sublattices of E8, D_n and their relatives all sit on this floor.
+The witness then comes from a short walk over the pool of radius bv in
+lexicographic row order that stops at the first leaf whose determinant is
+the value.  It keeps the budget H_l * value, but as norms are not sorted
+in that order it bounds each unplaced slot by lambda1**2 alone.  The leaves
+it can reach are therefore exactly those of the confirm scan (both admit
+the tuples whose norm product is within the budget and whose prefixes have
+full rank), and as the pool's index order is the rows' lexicographic
+order, its first hit is the smallest sorted row tuple at the value: the
+witness the confirm scan reports.  `confirmed_by_escalation` then records
+what the floor proves.  A hint at or below the floor that no sublattice
+attains leaves that walk without a hit, which raises CertificateError.
+
+Determinism: the confirm scan and the witness walk depend only on the
+proven value (never on hints), with a fixed prune threshold, and report
+the lexicographically smallest sorted row list among minimal tuples.
+Hints and caching therefore never change the returned value or witness,
+only the work performed.  The witness is re-checked against the value by
+an exact determinant; a mismatch raises CertificateError.
 """
 
 from __future__ import annotations
@@ -63,7 +86,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress
-from operator import mul
+from operator import attrgetter, mul
 
 from .enumeration import CertificateError, lattice_minimum, short_vectors
 from .lattices import (
@@ -83,14 +106,25 @@ H_FACTOR = {
     4: Fraction(4096, 729),
 }
 
+# gamma_l**l, the l-th power of Hermite's constant (SPLAG ch. 1 section 2)
+_HERMITE_POWER = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4)}
+
+# Bumped whenever the search changes what a certificate reports; part of the
+# CLI cache key, so entries of an older search are recomputed, not served.
+SEARCH_VERSION = 2
+
 
 class SearchCertificate:
     """Result of a minimal-sublattice search.
 
     value is the exact minimal rank-l Gram determinant; witness is a
     sublattice achieving it; per_vector_bound is the largest norm the
-    confirm scan can reach, derived from the value; candidates_examined
-    counts the leaf determinants evaluated by that scan.
+    confirm scan or witness walk can reach, derived from the value.
+    candidates_examined counts the full-rank leaf determinants of the walk
+    that produced the witness: when the value is above the Hermite floor,
+    every leaf of the confirm scan (the full budget at the value); when the
+    floor proves the value, the leaves the lexicographic witness walk
+    evaluated before it stopped, at most the confirm scan's count.
     """
 
     __slots__ = (
@@ -115,6 +149,13 @@ class SearchCertificate:
             f"SearchCertificate(l={self.l}, value={self.value}, "
             f"confirmed={self.confirmed_by_escalation})"
         )
+
+
+def _hermite_floor(lam: int, l: int) -> int:
+    """ceil(lam**l / gamma_l**l): no rank-l sublattice of a lattice with
+    minimal norm lam has a smaller Gram determinant."""
+    g = _HERMITE_POWER[l]
+    return -(-(lam**l) * g.denominator // g.numerator)
 
 
 def _radius(h: Fraction, upper: int, lam: int, l: int) -> int:
@@ -181,11 +222,15 @@ _POWER = (None, None, lambda v: v * v, lambda v: v * v * v, lambda v: (v * v) * 
 class _Scan:
     """Index-increasing l-tuples of one pool under the norm-product prune.
 
-    The pool (rows and ascending norms) and the dot products computed so
-    far stay with the object across walks.
+    The pool (rows and norms) and the dot products computed so far stay
+    with the object across walks.  `run` needs the pool in ascending norm
+    order; `find` walks it in whatever order it is given, which
+    `minimal_sublattice` makes lexicographic.
     """
 
-    __slots__ = ("rows", "norms", "dots", "l", "hn", "hd", "bound", "lower", "leaves", "key")
+    __slots__ = (
+        "rows", "norms", "dots", "l", "hn", "hd", "bound", "lower", "leaves", "key", "lam"
+    )
 
     def __init__(self, vectors, l: int, h: Fraction):
         self.rows = [v.coords for v in vectors]
@@ -194,7 +239,7 @@ class _Scan:
         self.l = l
         self.hn, self.hd = h.numerator, h.denominator
 
-    def run(self, bound: int) -> int:
+    def run(self, bound: int, floor: int) -> int:
         """Smallest leaf determinant within its own budget, or the bound.
 
         A walk visits every tuple within the budget H_l * bound.  A leaf
@@ -203,13 +248,28 @@ class _Scan:
         leaf below the returned bound.  `leaves` counts the leaf
         determinants of that walk and `key` is its lexicographically
         smallest sorted row tuple at the bound (None if there is none).
+        A bound at or below the floor is returned at once, without another
+        walk; `leaves` and `key` then mean nothing.
         """
-        while True:
+        while bound > floor:
             self.bound, self.lower, self.leaves, self.key = bound, None, 0, None
             self._walk(0, 1, (), 1, None)
             if self.lower is None:
-                return bound
+                break
             bound = self.lower
+        return bound
+
+    def find(self, value: int, lam: int) -> None:
+        """Walk the tuples in pool order up to the first leaf at the value.
+
+        The budget is H_l * value; norms need not be sorted, so each
+        unplaced slot is bounded by lam (the minimal norm) alone.  `key` is
+        the rows of the first leaf whose determinant is the value (None if
+        there is none) and `leaves` counts the full-rank leaf determinants
+        evaluated, whole batches at a time.
+        """
+        self.bound, self.lam, self.leaves, self.key = value, lam, 0, None
+        self._first(0, 1, (), 1, None)
 
     def _row(self, i: int, stop: int) -> list[int]:
         """Dot products of vector i with vectors i+1 .. stop-1, grown on demand."""
@@ -240,6 +300,30 @@ class _Scan:
             if d > 0:
                 self._walk(k + 1, prod * nk, prefix + (k,), d, a)
                 if self.lower is not None:
+                    return
+
+    def _first(self, start, prod, prefix, det, adj):
+        need = self.l - len(prefix)
+        norms = self.norms
+        top = self.hn * self.bound // (prod * self.hd * self.lam ** (need - 1))
+        ks = [k for k in range(start, len(norms)) if norms[k] <= top]
+        if not ks:
+            return
+        dots = [self._row(i, ks[-1] + 1) for i in prefix]
+        if need == 1:
+            cols = [[row[k - i - 1] for k in ks] for i, row in zip(prefix, dots)]
+            dets = _leaf_dets(det, adj, [norms[k] for k in ks], cols)
+            self.leaves += len(dets) - dets.count(0)
+            if self.bound in dets:
+                hit = ks[dets.index(self.bound)]
+                self.key = tuple(self.rows[i] for i in prefix + (hit,))
+            return
+        for k in ks:
+            nk = norms[k]
+            d, a = _extend(det, adj, [row[k - i - 1] for i, row in zip(prefix, dots)], nk)
+            if d > 0:
+                self._first(k + 1, prod * nk, prefix + (k,), d, a)
+                if self.key is not None:
                     return
 
     def _leaves(self, prefix, start, dets):
@@ -283,14 +367,24 @@ def minimal_sublattice(
             raise ValueError("upper_hint must be positive")
         u0 = min(u0, int(upper_hint))
     h = H_FACTOR[l]
+    floor = _hermite_floor(lam, l)
 
     # Grow the pool from lambda_1 (module docstring); r <= _radius(h, u0).
-    # The last walk of the last pool is the confirm and witness scan.
+    # The last walk of the last pool is the confirm and witness scan, unless
+    # the Hermite floor proves the value: then a lexicographic walk over the
+    # pool of radius bv finds the witness.
     r, value = lam, u0
     while True:
-        scan = _Scan(short_vectors(lattice, r, cap).vectors, l, h)
-        value = scan.run(value)
+        vectors = short_vectors(lattice, r, cap).vectors
+        scan = _Scan(vectors, l, h)
+        value = scan.run(value, floor)
         bv = _radius(h, value, lam, l)
+        if value <= floor:
+            if bv > r:
+                vectors = short_vectors(lattice, bv, cap).vectors
+            scan = _Scan(sorted(vectors, key=attrgetter("coords")), l, h)
+            scan.find(value, lam)
+            break
         if bv <= r:
             break
         r = min(bv, 2 * r)

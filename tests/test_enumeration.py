@@ -67,6 +67,25 @@ def test_minimum_examples():
     assert sum(e * e for e in witness) == 4
 
 
+def test_minimum_enumerates_once_per_lattice(monkeypatch):
+    from codelattice import enumeration
+
+    bounds = []
+
+    def recording(lattice, bound, cap=10_000_000):
+        bounds.append(bound)
+        return short_vectors(lattice, bound, cap)
+
+    monkeypatch.setattr(enumeration, "short_vectors", recording)
+    lat = construction_a(reed_muller_code(1, 3))
+    first = lattice_minimum(lat)
+    assert lattice_minimum(lat) == first == (4, first[1])
+    assert len(bounds) == 1
+    # an equal lattice built anew has its own cache
+    assert lattice_minimum(construction_a(reed_muller_code(1, 3))) == first
+    assert len(bounds) == 2
+
+
 def test_minimum_oracle_random_codes():
     from codelattice.codes import weight_report
 

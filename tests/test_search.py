@@ -10,15 +10,28 @@ from codelattice.codes import (
     parity_check_code,
     reed_muller_code,
 )
-from codelattice.enumeration import EnumerationCap, lattice_minimum, short_vectors
+from codelattice.enumeration import (
+    CertificateError,
+    EnumerationCap,
+    lattice_minimum,
+    short_vectors,
+)
+from codelattice.exact import Radical
+from codelattice.invariants import RANKIN, known_facts, rankin_invariant
 from codelattice.lattices import (
     IntegralLattice,
+    RankDeficient,
     construction_a,
     det_int,
     gram_matrix,
     is_even,
 )
-from codelattice.sublattice_search import minimal_sublattice, rank2_code_bound
+from codelattice.sublattice_search import (
+    _HERMITE_POWER,
+    _hermite_floor,
+    minimal_sublattice,
+    rank2_code_bound,
+)
 from search_oracle import oracle_minimal_sublattice
 
 
@@ -138,14 +151,83 @@ def test_higher_rank_on_small_lattice():
 
 
 def test_rank3_e8_matches_known_value():
-    from codelattice.exact import Radical
-    from codelattice.invariants import rankin_invariant
-
     lat = construction_a(reed_muller_code(1, 3))
     cert = minimal_sublattice(lat, 3, upper_hint=64)
-    assert (cert.value, cert.candidates_examined) == (32, 279720)
+    # 32 is the Hermite floor 4**3 / 2: the witness walk stops after 118
+    # leaves, where the confirm scan evaluated 279,720
+    assert (cert.value, cert.candidates_examined) == (32, 118)
     assert cert.confirmed_by_escalation
     assert rankin_invariant(lat, cert) == Radical(4)
+
+
+def test_rank4_e8_pinned():
+    lat = construction_a(reed_muller_code(1, 3))
+    cert = minimal_sublattice(lat, 4, upper_hint=256)
+    assert (cert.value, cert.per_vector_bound) == (64, 5)
+    assert cert.witness.rows == (
+        (0, 0, 0, 0, 0, 0, 0, 2),
+        (0, 0, 0, 0, 0, 0, 2, 0),
+        (0, 0, 0, 0, 0, 2, 0, 0),
+        (0, 0, 0, 0, 1, -1, -1, -1),
+    )
+    assert cert.confirmed_by_escalation
+    facts = {(f.kind, f.n, f.l): f.value for f in known_facts()}
+    assert rankin_invariant(lat, cert) == facts[(RANKIN, 8, 4)] == Radical(4)
+
+
+def test_hermite_powers_match_known_facts():
+    # gamma_l**l from the exactly known Hermite constants gamma_l = gamma_{l,1}
+    facts = {(f.kind, f.n, f.l): f.value for f in known_facts()}
+    assert _HERMITE_POWER[1] == 1
+    for l in (2, 3, 4):
+        assert facts[(RANKIN, l, 1)] ** l == Radical(_HERMITE_POWER[l])
+
+
+def _floor_cases(rng, count):
+    """Small random code and from_rows lattices with their minimal norms."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(2, 4)
+        if len(cases) % 2:
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            try:
+                lat = IntegralLattice.from_rows(rows)
+            except RankDeficient:
+                continue
+        else:
+            q = rng.choice((2, 3))
+            k = rng.randint(1, n)
+            lat = construction_a(
+                LinearCode(q, n, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+            )
+        cases.append(lat)
+    return cases
+
+
+def test_hermite_floor_is_sound_by_brute_force():
+    rng = random.Random(46)
+    checked = 0
+    for lat in _floor_cases(rng, 24):
+        lam = lattice_minimum(lat)[0]
+        vecs = [v.coords for v in short_vectors(lat, 3 * lam).vectors[:16]]
+        for l in range(1, lat.n + 1):
+            floor = _hermite_floor(lam, l)
+            assert floor * _HERMITE_POWER[l] >= lam**l > (floor - 1) * _HERMITE_POWER[l]
+            for rows in combinations(vecs, l):
+                d = det_int(gram_matrix(rows))
+                if d > 0:
+                    assert d >= floor
+                    checked += 1
+    assert checked > 1000
+
+
+def test_hint_at_floor_below_minimum_raises():
+    # L_RM(1,4): lambda1**2 = 4, floor 4**2 / (4/3) = 12, but d_2 = 16
+    lat = construction_a(reed_muller_code(1, 4))
+    assert _hermite_floor(lattice_minimum(lat)[0], 2) == 12
+    assert minimal_sublattice(lat, 2, upper_hint=16).value == 16
+    with pytest.raises(CertificateError):
+        minimal_sublattice(lat, 2, upper_hint=12)
 
 
 def test_rank_validation():
@@ -206,14 +288,16 @@ Q4_CODE = LinearCode(
     "code, l, value, leaves",
     [
         (reed_muller_code(1, 3), 1, 4, 120),
-        (reed_muller_code(1, 3), 2, 12, 7140),
-        (parity_check_code(8, 2), 4, 4, 353570),
+        (reed_muller_code(1, 3), 2, 12, 119),
+        (parity_check_code(8, 2), 4, 4, 50),
         (reed_muller_code(1, 4), 2, 16, 120),
         (Q4_CODE, 2, 20, 3),
     ],
 )
 def test_benchmark_certificates_pinned(code, l, value, leaves):
-    # E8 at l = 3 is pinned in test_rank3_e8_matches_known_value
+    # E8 at l = 3 is pinned in test_rank3_e8_matches_known_value.  E8 and D8
+    # sit on the Hermite floor (leaves of the witness walk); L_RM(1,4) and
+    # the q = 4 code are above it (leaves of the full confirm scan).
     cert = minimal_sublattice(construction_a(code), l, upper_hint=code.q ** (2 * l))
     assert (cert.value, cert.candidates_examined) == (value, leaves)
     assert cert.confirmed_by_escalation
@@ -253,19 +337,29 @@ def test_pool_grows_from_minimum_within_hint_radius(monkeypatch):
             assert radii[-1] <= _radius(H_FACTOR[l], u0, lam, l)
 
 
-def _fields(cert):
-    return (
-        cert.value,
-        cert.witness.rows,
-        cert.per_vector_bound,
-        cert.candidates_examined,
-        cert.confirmed_by_escalation,
-    )
+def _matches_oracle(lat, l, cert, expected) -> bool:
+    """Assert cert matches the oracle's; True if the Hermite floor closed it.
+
+    Value, witness, bound and flag are always equal.  Above the floor the
+    confirm scan's leaves are equal too; on the floor the witness walk stops
+    at its first hit, so it examines at most the confirm scan's leaves.
+    """
+    fields = [
+        (c.value, c.witness.rows, c.per_vector_bound, c.confirmed_by_escalation)
+        for c in (cert, expected)
+    ]
+    assert fields[0] == fields[1]
+    closed = cert.value <= _hermite_floor(lattice_minimum(lat)[0], l)
+    if closed:
+        assert cert.candidates_examined <= expected.candidates_examined
+    else:
+        assert cert.candidates_examined == expected.candidates_examined
+    return closed
 
 
 def test_matches_three_scan_oracle_on_random_codes():
     rng = random.Random(45)
-    compared = 0
+    compared = closed = 0
     for _ in range(180):
         n = rng.randint(2, 6)
         q = rng.choice((2, 3, 4))
@@ -280,9 +374,10 @@ def test_matches_three_scan_oracle_on_random_codes():
             expected = oracle_minimal_sublattice(lat, l, upper_hint=hint, cap=5000)
         except EnumerationCap:
             continue
-        assert _fields(minimal_sublattice(lat, l, upper_hint=hint)) == _fields(expected)
+        closed += _matches_oracle(lat, l, minimal_sublattice(lat, l, upper_hint=hint), expected)
         compared += 1
     assert compared >= 150
+    assert 0 < closed < compared
 
 
 def test_matches_three_scan_oracle_on_benchmark_jobs():
@@ -293,7 +388,7 @@ def test_matches_three_scan_oracle_on_benchmark_jobs():
         lat = construction_a(code)
         hint = code.q ** (2 * l)
         expected = oracle_minimal_sublattice(lat, l, upper_hint=hint)
-        assert _fields(minimal_sublattice(lat, l, upper_hint=hint)) == _fields(expected)
+        _matches_oracle(lat, l, minimal_sublattice(lat, l, upper_hint=hint), expected)
 
 
 def test_pools_freed_without_cyclic_gc():

@@ -87,3 +87,14 @@ def test_d1_over_cap_reports_the_cap():
     assert result.status == "fail"
     assert result.detail.startswith("EnumerationTooLarge"), result.detail
     assert "cap 100" in result.detail
+
+
+def test_bound_interval_seeds_honour_the_cap():
+    # the parity check seed searches reach D7, whose pool at lambda1 = 2
+    # holds 42 vectors
+    [result] = [r for r in run_checks("bound_intervals", cap=30) if r.status != "skipped"]
+    assert result.status == "fail"
+    assert result.detail.startswith("EnumerationCap"), result.detail
+    assert "cap 30" in result.detail
+    [result] = [r for r in run_checks("bound_intervals", cap=50) if r.status != "skipped"]
+    assert result.status == "pass"
