@@ -59,11 +59,11 @@ class EnumerationTooLarge(ValueError):
 class LinearCode:
     """Linear code over Z_q given by generator rows (entries in [0, q)).
 
-    Immutable; the Construction A lattice and the dual code are computed
-    once on demand and cached.
+    Immutable; the Construction A lattice, the dual code and the weight
+    report are computed once on demand and cached.
     """
 
-    __slots__ = ("q", "n", "generators", "family", "params", "_lattice", "_dual")
+    __slots__ = ("q", "n", "generators", "family", "params", "_lattice", "_dual", "_weights")
 
     def __init__(self, q: int, n: int, generators, family=None, params=None):
         q = int(q)
@@ -86,6 +86,7 @@ class LinearCode:
         self.params = dict(params) if params else None
         self._lattice = None
         self._dual = None
+        self._weights = None
 
     def lattice(self) -> IntegralLattice:
         if self._lattice is None:
@@ -166,10 +167,17 @@ def minimal_lift(word, q: int) -> tuple[int, ...]:
 
 
 def weight_report(code: LinearCode, cap: int = 10_000_000) -> WeightReport:
-    """Exhaustive weight data; raises EnumerationTooLarge above the cap."""
+    """Exhaustive weight data, cached on `code`; raises EnumerationTooLarge
+    above the cap, on every call, whether or not the report is cached."""
     card = code.cardinality
     if card > cap:
         raise EnumerationTooLarge(card, cap)
+    if code._weights is None:
+        code._weights = _weights(code)
+    return code._weights
+
+
+def _weights(code: LinearCode) -> WeightReport:
     q = code.q
     d_h = None
     d_e = None

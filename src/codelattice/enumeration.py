@@ -20,13 +20,33 @@ levels below it, and a level only recomputes the terms whose coefficients
 changed since it was last entered.  Every vector of squared norm <= B is
 listed once per +-pair, and every emitted norm is re-checked by an integer
 dot product against the form's value.
+
+Three exact rules keep each lattice to about one walk:
+
+* The norm grain.  x G x^T = sum_i g_ii x_i**2 + sum_{i<j} 2 g_ij x_i x_j,
+  so every norm is a multiple of g = gcd(g_ii, 2 g_ij), and a walk to
+  g * floor(B / g) lists exactly the vectors of norm <= B.
+* The Hermite start.  Every lattice of rank n has
+  (lambda1**2)**n <= gamma_n**n * det, so for n <= 8 (where gamma_n**n is
+  known exactly, HERMITE_POWER) lambda1**2 is at most the largest integer b
+  with b**n <= gamma_n**n * det; `lattice_minimum` walks to the smaller of b
+  and the Gram diagonal's minimum, a radius that always holds a minimal
+  vector.
+* The reused list.  The list `lattice_minimum` enumerated is kept on the
+  lattice; it holds every vector of norm <= its bound, sorted by norm, so a
+  later request whose rounded radius is within that bound is its bisected
+  prefix, the list a new walk would return.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from fractions import Fraction
 from math import gcd, isqrt
+from operator import attrgetter
 from typing import NamedTuple
 
+from .exact import integer_root
 from .lattices import IntegralLattice
 
 __all__ = [
@@ -38,6 +58,20 @@ __all__ = [
     "short_vectors",
     "lattice_minimum",
 ]
+
+
+# gamma_n**n, the n-th power of Hermite's constant, for every n where it is
+# known exactly (Conway & Sloane, SPLAG ch. 1 section 2)
+HERMITE_POWER = {
+    1: Fraction(1),
+    2: Fraction(4, 3),
+    3: Fraction(2),
+    4: Fraction(4),
+    5: Fraction(8),
+    6: Fraction(64, 3),
+    7: Fraction(64),
+    8: Fraction(256),
+}
 
 
 class EnumerationCap(RuntimeError):
@@ -96,18 +130,44 @@ def _integer_form(gram) -> tuple[list[int], list[list[int]]]:
     return dets, a
 
 
+def _grain(gram) -> int:
+    """gcd of the g_ii and the 2 g_ij: every norm is a multiple of it."""
+    n = len(gram)
+    return gcd(
+        *(gram[i][i] for i in range(n)),
+        *(2 * gram[i][j] for i in range(n) for j in range(i + 1, n)),
+    )
+
+
 def short_vectors(
     lattice: IntegralLattice, bound: int, cap: int = 10_000_000
 ) -> ShortVectorList:
     """All vectors with 0 < norm <= bound, one representative per +-pair.
 
     Representatives have a positive first nonzero coordinate and are sorted
-    by (norm, coordinates).  Every emitted norm is re-verified by an
-    integer dot product of the ambient coordinates; a mismatch raises
-    CertificateError.
+    by (norm, coordinates).  The walk goes to the bound rounded down to the
+    norm grain; a request within the list `lattice_minimum` kept is served
+    as its prefix (module docstring).  Either way the result is a new list,
+    and more than `cap` vectors raise EnumerationCap.  Every enumerated
+    norm is re-verified by an integer dot product of the ambient
+    coordinates; a mismatch raises CertificateError.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    radius = bound - bound % _grain(lattice.gram)
+    known = lattice._short
+    if known is None or radius > known.bound:
+        return ShortVectorList(bound, _walk(lattice, radius, cap))
+    vectors = known.vectors[: bisect_right(known.vectors, radius, key=attrgetter("norm"))]
+    # the walk raises at the first vector past the cap
+    if len(vectors) > max(cap, 0):
+        raise EnumerationCap(max(cap, 0) + 1, cap)
+    return ShortVectorList(bound, vectors)
+
+
+def _walk(lattice: IntegralLattice, bound: int, cap: int) -> list[ShortVector]:
+    """The sorted representatives of norm <= bound (bound >= 0), by the
+    Fincke-Pohst walk of the module docstring."""
     n = lattice.n
     dets, a = _integer_form(lattice.gram)
     weights = [dets[i] * dets[i + 1] for i in range(n)]
@@ -212,18 +272,27 @@ def short_vectors(
         i = k
 
     out.sort(key=lambda sv: (sv.norm, sv.coords))
-    return ShortVectorList(bound, out)
+    return out
 
 
 def lattice_minimum(lattice: IntegralLattice) -> tuple[int, tuple[int, ...]]:
-    """Minimal nonzero squared norm with a witness vector.
+    """Minimal nonzero squared norm with a witness vector (the smallest
+    coordinates among the minimal vectors).
 
-    The minimum of the Gram diagonal is an upper bound achieved by a basis
-    vector, so one complete enumeration below it suffices.  The result is
-    cached on the (immutable) lattice, so each lattice enumerates once.
+    One complete enumeration to a radius known to hold a minimal vector
+    suffices: the minimum of the Gram diagonal, attained by a basis vector,
+    or for n <= 8 the Hermite bound, the largest b with
+    b**n <= gamma_n**n * det, if smaller (lambda1**2 is an integer with
+    (lambda1**2)**n <= gamma_n**n * det).  The list is kept on the
+    (immutable) lattice, so each lattice enumerates it once and
+    `short_vectors` serves smaller requests from it.
     """
-    if lattice._minimum is None:
-        start = min(lattice.gram[i][i] for i in range(lattice.n))
-        best = short_vectors(lattice, start).vectors[0]
-        lattice._minimum = (best.norm, best.coords)
-    return lattice._minimum
+    if lattice._short is None:
+        radius = min(lattice.gram[i][i] for i in range(lattice.n))
+        g = HERMITE_POWER.get(lattice.n)
+        if g is not None:
+            b = integer_root(g.numerator * lattice.det_gram // g.denominator, lattice.n)
+            radius = min(radius, b)
+        lattice._short = short_vectors(lattice, radius)
+    best = lattice._short.vectors[0]
+    return best.norm, best.coords

@@ -179,11 +179,13 @@ def _check_hnf(basis) -> None:
 class IntegralLattice:
     """Full-rank integral lattice with a canonical HNF basis.
 
-    Immutable after construction; all methods are pure.  `_minimum` caches
-    what `enumeration.lattice_minimum` returns for this lattice.
+    Immutable after construction; all methods are pure.  `_short` caches
+    the `ShortVectorList` that `enumeration.lattice_minimum` enumerated for
+    this lattice, from which `enumeration.short_vectors` serves every
+    request within its bound.
     """
 
-    __slots__ = ("n", "basis", "gram", "det_gram", "_minimum")
+    __slots__ = ("n", "basis", "gram", "det_gram", "_short")
 
     def __init__(self, basis):
         """basis must be the row HNF that `hnf` returns for a full-rank span:
@@ -197,7 +199,7 @@ class IntegralLattice:
         for i in range(self.n):
             d *= self.basis[i][i]
         self.det_gram = d * d
-        self._minimum = None
+        self._short = None
 
     @classmethod
     def from_rows(cls, rows) -> "IntegralLattice":

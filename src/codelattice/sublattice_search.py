@@ -36,6 +36,8 @@ repeats.  Every value is the determinant of a sublattice or u0, so
 value >= d_l and the final pool holds every vector of norm <= R(d_l): the
 reported value is exact.  As the value only falls, r never exceeds R(u0),
 the radius a single pool sized from u0 would need.
+Pools within the radius `lattice_minimum` enumerated are prefixes of its
+list, so on most lattices only pools beyond it need a walk.
 
 The last walk of the final pool is a fixed-threshold scan at the budget
 H_l * value that found no leaf below the value; it is the confirm and
@@ -57,8 +59,9 @@ of Hermite's constant gamma_l, and lambda1(M) >= lambda1(L), so
     d_l >= floor_l = ceil(lambda1**(2l) / gamma_l**l),
     gamma_l**l = 1, 4/3, 2, 4 for l = 1, 2, 3, 4
 
-(Conway & Sloane, SPLAG ch. 1 section 2).  Determinants are integers, hence
-the ceiling.  Once the value is <= floor_l it equals d_l (a valid value is
+(Conway & Sloane, SPLAG ch. 1 section 2; the table is
+`enumeration.HERMITE_POWER`).  Determinants are integers, hence the
+ceiling.  Once the value is <= floor_l it equals d_l (a valid value is
 never below d_l), so no further walk or growth pool is needed; the
 extremal sublattices of E8, D_n and their relatives all sit on this floor.
 The witness then comes from a short walk over the pool of radius bv in
@@ -88,7 +91,7 @@ from fractions import Fraction
 from itertools import compress
 from operator import attrgetter, mul
 
-from .enumeration import CertificateError, lattice_minimum, short_vectors
+from .enumeration import HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
 from .lattices import (
     IntegralLattice,
     det_int,
@@ -105,9 +108,6 @@ H_FACTOR = {
     3: Fraction(64, 27),
     4: Fraction(4096, 729),
 }
-
-# gamma_l**l, the l-th power of Hermite's constant (SPLAG ch. 1 section 2)
-_HERMITE_POWER = {1: Fraction(1), 2: Fraction(4, 3), 3: Fraction(2), 4: Fraction(4)}
 
 # Bumped whenever the search changes what a certificate reports; part of the
 # CLI cache key, so entries of an older search are recomputed, not served.
@@ -154,7 +154,7 @@ class SearchCertificate:
 def _hermite_floor(lam: int, l: int) -> int:
     """ceil(lam**l / gamma_l**l): no rank-l sublattice of a lattice with
     minimal norm lam has a smaller Gram determinant."""
-    g = _HERMITE_POWER[l]
+    g = HERMITE_POWER[l]
     return -(-(lam**l) * g.denominator // g.numerator)
 
 

@@ -101,6 +101,23 @@ def test_weight_report_cap():
         weight_report(full_code(6, 4), cap=100)
 
 
+def test_weight_report_cached_with_cap_checked_each_call(monkeypatch):
+    from codelattice.sublattice_search import rank2_code_bound
+
+    code = reed_muller_code(1, 3)
+    first = weight_report(code)
+
+    def no_codewords(self):
+        raise AssertionError("codewords enumerated again")
+
+    monkeypatch.setattr(LinearCode, "codewords", no_codewords)
+    assert weight_report(code) is first
+    assert rank2_code_bound(code) == 12
+    with pytest.raises(EnumerationTooLarge):
+        weight_report(code, cap=15)
+    assert weight_report(code, cap=16) is first
+
+
 def test_binary_euclidean_equals_hamming():
     rng = random.Random(21)
     for _ in range(40):

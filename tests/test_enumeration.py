@@ -5,8 +5,12 @@ import pytest
 
 from codelattice.codes import LinearCode, parity_check_code, reed_muller_code
 from codelattice.enumeration import (
+    HERMITE_POWER,
     EnumerationCap,
     NotPositiveDefinite,
+    ShortVectorList,
+    _grain,
+    _walk,
     lattice_minimum,
     short_vectors,
 )
@@ -241,3 +245,109 @@ def test_matches_fraction_oracle_on_general_lattices():
 def test_matches_fraction_oracle_on_e8():
     lat = construction_a(reed_muller_code(1, 3))
     _assert_matches_oracle(lat, (4, 7, 8))
+
+
+def _grain_cases():
+    """(lattice, grain): even lattices with grains 2 and 4, odd ones with 1."""
+    rng = random.Random(37)
+    cases = [
+        (construction_a(parity_check_code(4, 2)), 2),
+        (construction_a(reed_muller_code(1, 3)), 4),
+        (_zn(3), 1),
+        (construction_a(parity_check_code(5, 3)), 1),
+    ]
+    for _ in range(6):
+        lat = construction_a(_random_code(rng, n_max=5, q_choices=(2, 3)))
+        cases.append((lat, _grain(lat.gram)))
+    return cases
+
+
+def test_grain_rounding_lists_the_unrounded_walk():
+    for lat, grain in _grain_cases():
+        assert _grain(lat.gram) == grain
+        for bound in range(1, 2 * grain + 2):
+            got = short_vectors(IntegralLattice(lat.basis), bound)
+            assert got == ShortVectorList(bound, _walk(lat, bound, 10_000_000))
+            assert all(v.norm % grain == 0 for v in got.vectors)
+
+
+def test_bound_below_grain_is_empty():
+    lat = construction_a(reed_muller_code(1, 4))
+    assert _grain(lat.gram) == 4
+    for bound in (1, 2, 3):
+        assert short_vectors(lat, bound) == ShortVectorList(bound, [])
+    lattice_minimum(lat)  # the same answer from the kept list
+    for bound in (1, 2, 3):
+        assert short_vectors(lat, bound) == ShortVectorList(bound, [])
+
+
+def _hermite_radius(lat):
+    g = HERMITE_POWER[lat.n]
+    b = 1
+    while (b + 1) ** lat.n * g.denominator <= g.numerator * lat.det_gram:
+        b += 1
+    return b
+
+
+def test_hermite_start_matches_brute_force():
+    # brute force: the Fraction oracle to the smallest Gram diagonal, or to
+    # the norm of a generating row if smaller; both are attained
+    rng = random.Random(38)
+    cases = [construction_a(reed_muller_code(1, 3)), construction_a(parity_check_code(8, 4))]
+    cases += [construction_a(_random_code(rng, n_max=8, q_choices=(2, 3, 4, 5))) for _ in range(30)]
+    cases = [(lat, lat.gram[0][0]) for lat in cases]
+    cases += [_random_full_rank(rng, rng.randint(1, 6)) for _ in range(30)]
+    below = 0
+    for lat, row_norm in cases:
+        diag = min(lat.gram[i][i] for i in range(lat.n))
+        best = fraction_short_vectors(lat, min(diag, row_norm)).vectors[0]
+        assert lattice_minimum(lat) == (best.norm, best.coords), lat.basis
+        b = _hermite_radius(lat)
+        assert best.norm <= b
+        assert lat._short.bound == min(diag, b)
+        below += b < diag
+    assert below >= 10
+
+
+def test_kept_list_serves_the_fresh_walk():
+    rng = random.Random(39)
+    lats = [construction_a(LinearCode(4, 8, [[3, 2, 3, 3, 0, 0, 2, 3]]))]
+    lats += [construction_a(_random_code(rng, n_max=6, q_choices=(3, 4, 5))) for _ in range(8)]
+    for lat in lats:
+        lattice_minimum(lat)
+        known = lat._short
+        for bound in range(1, known.bound + 1):
+            fresh = IntegralLattice(lat.basis)
+            served = short_vectors(lat, bound)
+            assert served == short_vectors(fresh, bound)
+            assert served.vectors is not known.vectors
+            for cap in (-1, 0, len(served.vectors) - 1, len(served.vectors)):
+                outcomes = []
+                for target in (lat, IntegralLattice(lat.basis)):
+                    try:
+                        short_vectors(target, bound, cap)
+                        outcomes.append(None)
+                    except EnumerationCap as exc:
+                        outcomes.append((exc.count, exc.cap))
+                assert outcomes[0] == outcomes[1]
+                assert (outcomes[0] is None) == (len(served.vectors) <= max(cap, 0))
+
+
+def test_kept_list_is_not_walked_again(monkeypatch):
+    from codelattice import enumeration
+
+    walks = []
+
+    def recording(lattice, bound, cap):
+        walks.append(bound)
+        return _walk(lattice, bound, cap)
+
+    monkeypatch.setattr(enumeration, "_walk", recording)
+    lat = construction_a(reed_muller_code(1, 4))
+    lattice_minimum(lat)
+    assert walks == [4]
+    # radius 5 rounds to the grain 4, inside the kept list
+    assert [len(short_vectors(lat, b).vectors) for b in (4, 5, 7)] == [16, 16, 16]
+    assert walks == [4]
+    short_vectors(lat, 8)
+    assert walks == [4, 8]

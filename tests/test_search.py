@@ -1,5 +1,7 @@
+import json
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from codelattice.codes import (
     reed_muller_code,
 )
 from codelattice.enumeration import (
+    HERMITE_POWER,
     CertificateError,
     EnumerationCap,
     lattice_minimum,
@@ -27,12 +30,13 @@ from codelattice.lattices import (
     is_even,
 )
 from codelattice.sublattice_search import (
-    _HERMITE_POWER,
     _hermite_floor,
     minimal_sublattice,
     rank2_code_bound,
 )
 from search_oracle import oracle_minimal_sublattice
+
+DATA = Path(__file__).parent / "data"
 
 
 def _zn(n):
@@ -178,9 +182,10 @@ def test_rank4_e8_pinned():
 def test_hermite_powers_match_known_facts():
     # gamma_l**l from the exactly known Hermite constants gamma_l = gamma_{l,1}
     facts = {(f.kind, f.n, f.l): f.value for f in known_facts()}
-    assert _HERMITE_POWER[1] == 1
-    for l in (2, 3, 4):
-        assert facts[(RANKIN, l, 1)] ** l == Radical(_HERMITE_POWER[l])
+    assert HERMITE_POWER[1] == 1
+    assert sorted(HERMITE_POWER) == list(range(1, 9))
+    for l in range(2, 9):
+        assert facts[(RANKIN, l, 1)] ** l == Radical(HERMITE_POWER[l])
 
 
 def _floor_cases(rng, count):
@@ -212,7 +217,7 @@ def test_hermite_floor_is_sound_by_brute_force():
         vecs = [v.coords for v in short_vectors(lat, 3 * lam).vectors[:16]]
         for l in range(1, lat.n + 1):
             floor = _hermite_floor(lam, l)
-            assert floor * _HERMITE_POWER[l] >= lam**l > (floor - 1) * _HERMITE_POWER[l]
+            assert floor * HERMITE_POWER[l] >= lam**l > (floor - 1) * HERMITE_POWER[l]
             for rows in combinations(vecs, l):
                 d = det_int(gram_matrix(rows))
                 if d > 0:
@@ -301,6 +306,19 @@ def test_benchmark_certificates_pinned(code, l, value, leaves):
     cert = minimal_sublattice(construction_a(code), l, upper_hint=code.q ** (2 * l))
     assert (cert.value, cert.candidates_examined) == (value, leaves)
     assert cert.confirmed_by_escalation
+
+
+def test_rows_lattice_certificate_pinned():
+    # HNF rows with a large Gram diagonal (842) but lambda1**2 = 3: the
+    # Hermite start enumerates to 8, not to 842; the CLI smoke test in CI
+    # runs the same spec
+    with open(DATA / "rows_n5.json", encoding="utf-8") as fh:
+        lat = IntegralLattice.from_rows(json.load(fh)["rows"])
+    assert lattice_minimum(lat) == (3, (0, 1, 1, -1, 0))
+    assert lat._short.bound == 8
+    cert = minimal_sublattice(lat, 3)
+    assert (cert.value, cert.per_vector_bound, cert.candidates_examined) == (36, 9, 14)
+    assert cert.witness.rows == ((0, 1, 1, -1, 0), (0, 1, 1, 2, 1), (1, 0, -1, -1, -1))
 
 
 def test_pool_grows_from_minimum_within_hint_radius(monkeypatch):
