@@ -144,7 +144,6 @@ def _certificate_from_doc(doc: dict, lattice: IntegralLattice, l: int) -> Search
         witness,
         int(doc["per_vector_bound"]),
         int(doc["candidates_examined"]),
-        bool(doc["confirmed_by_escalation"]),
     )
 
 
@@ -330,7 +329,7 @@ def _cmd_gamma_prime(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    seeds = standard_seeds(args.n_max)
+    seeds = standard_seeds(args.n_max, args.max_candidates)
     result = propagate_bounds(args.n_max, seeds, rules=args.rules)
     rows = []
     for (kind, n, l), cell in sorted(result.cells.items()):

@@ -39,18 +39,15 @@ the radius a single pool sized from u0 would need.
 Pools within the radius `lattice_minimum` enumerated are prefixes of its
 list, so on most lattices only pools beyond it need a walk.
 
-The last walk of the final pool is a fixed-threshold scan at the budget
-H_l * value that found no leaf below the value; it is the confirm and
-witness scan.  Norms are ascending and each is at least lambda1**2, so a
-tuple that reaches a vector of norm
-n > bv = floor(H_l * value / lambda1**(2(l-1))) has a norm product of at
-least n * lambda1**(2(l-1)) > H_l * value and is pruned.  The scan thus
-never reads past bv (the reported per_vector_bound), and a pool of any
-larger radius, such as a doubled one, would give it the same leaves: a
-rerun at a wider radius under the same prune cannot test whether H_l is
-sharp, so none is made.  The scan gives the number of leaves and the
-lexicographically smallest sorted row list at the value;
-`confirmed_by_escalation` records that it found nothing below the value.
+The last walk of the final pool is the confirm scan: a fixed-threshold
+walk at the budget H_l * value that found no leaf below the value.  Norms
+are ascending and each is at least lambda1**2, so a tuple that reaches a
+vector of norm n > bv = floor(H_l * value / lambda1**(2(l-1))) has a norm
+product of at least n * lambda1**(2(l-1)) > H_l * value and is pruned.
+The scan thus never reads past bv (the reported per_vector_bound), and a
+pool of any larger radius, such as a doubled one, would give it the same
+leaves: a rerun at a wider radius under the same prune cannot test whether
+H_l is sharp, so none is made.
 
 The Hermite floor often proves the value before that scan.  Every rank-l
 sublattice M has det M >= lambda1(M)**(2l) / gamma_l**l by the definition
@@ -64,31 +61,27 @@ of Hermite's constant gamma_l, and lambda1(M) >= lambda1(L), so
 ceiling.  Once the value is <= floor_l it equals d_l (a valid value is
 never below d_l), so no further walk or growth pool is needed; the
 extremal sublattices of E8, D_n and their relatives all sit on this floor.
-The witness then comes from a short walk over the pool of radius bv in
-lexicographic row order that stops at the first leaf whose determinant is
-the value.  It keeps the budget H_l * value, but as norms are not sorted
-in that order it bounds each unplaced slot by lambda1**2 alone.  The leaves
-it can reach are therefore exactly those of the confirm scan (both admit
-the tuples whose norm product is within the budget and whose prefixes have
-full rank), and as the pool's index order is the rows' lexicographic
-order, its first hit is the smallest sorted row tuple at the value: the
-witness the confirm scan reports.  `confirmed_by_escalation` then records
-what the floor proves.  A hint at or below the floor that no sublattice
-attains leaves that walk without a hit, which raises CertificateError.
 
-Determinism: the confirm scan and the witness walk depend only on the
-proven value (never on hints), with a fixed prune threshold, and report
-the lexicographically smallest sorted row list among minimal tuples.
-Hints and caching therefore never change the returned value or witness,
-only the work performed.  The witness is re-checked against the value by
-an exact determinant; a mismatch raises CertificateError.
+The scans only prove the value.  The witness comes from one walk over
+the pool of radius bv in lexicographic row order that stops at the first
+leaf whose determinant is the value.  It keeps the budget H_l * value,
+but as norms are not sorted in that order it bounds each unplaced slot by
+lambda1**2 alone, so its leaves are the tuples whose norm product is
+within the budget and whose prefixes have full rank.  The pool's index
+order is the rows' lexicographic order and the walk visits index tuples
+in increasing order, so its first hit is the lexicographically smallest
+sorted row tuple among the minimal tuples within the budget.  That
+depends only on the proven value (never on hints), so hints and caching
+never change the returned value or witness, only the work performed.  A
+hint that no sublattice attains leaves the walk without a hit, which
+raises CertificateError.  The witness is re-checked against the value by
+an exact determinant; a mismatch raises CertificateError too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
 from operator import attrgetter, mul
 
 from .enumeration import HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
@@ -120,29 +113,24 @@ class SearchCertificate:
     value is the exact minimal rank-l Gram determinant; witness is a
     sublattice achieving it; per_vector_bound is the largest norm the
     confirm scan or witness walk can reach, derived from the value.
-    candidates_examined counts the full-rank leaf determinants of the walk
-    that produced the witness: when the value is above the Hermite floor,
-    every leaf of the confirm scan (the full budget at the value); when the
-    floor proves the value, the leaves the lexicographic witness walk
-    evaluated before it stopped, at most the confirm scan's count.
+    candidates_examined counts full-rank leaf determinants: when the value
+    is above the Hermite floor, every leaf of the confirm scan (the full
+    budget at the value); when the floor proves the value, the leaves the
+    witness walk evaluated before it stopped, at most the confirm scan's
+    count.  confirmed_by_escalation is always True: every returned value
+    is proven.
     """
 
-    __slots__ = (
-        "l",
-        "value",
-        "witness",
-        "per_vector_bound",
-        "candidates_examined",
-        "confirmed_by_escalation",
-    )
+    __slots__ = ("l", "value", "witness", "per_vector_bound", "candidates_examined")
 
-    def __init__(self, l, value, witness, per_vector_bound, examined, confirmed):
+    confirmed_by_escalation = True
+
+    def __init__(self, l, value, witness, per_vector_bound, examined):
         self.l = l
         self.value = value
         self.witness = witness
         self.per_vector_bound = per_vector_bound
         self.candidates_examined = examined
-        self.confirmed_by_escalation = confirmed
 
     def __repr__(self) -> str:
         return (
@@ -223,9 +211,10 @@ class _Scan:
     """Index-increasing l-tuples of one pool under the norm-product prune.
 
     The pool (rows and norms) and the dot products computed so far stay
-    with the object across walks.  `run` needs the pool in ascending norm
-    order; `find` walks it in whatever order it is given, which
-    `minimal_sublattice` makes lexicographic.
+    with the object across walks.  `run` proves the value and needs the
+    pool in ascending norm order; `find` finds the witness and walks the
+    pool in whatever order it is given, which `minimal_sublattice` makes
+    lexicographic.
     """
 
     __slots__ = (
@@ -245,14 +234,12 @@ class _Scan:
         A walk visits every tuple within the budget H_l * bound.  A leaf
         below the bound ends the walk, and a new walk starts at that leaf's
         determinant, so the last walk is a fixed-budget scan that found no
-        leaf below the returned bound.  `leaves` counts the leaf
-        determinants of that walk and `key` is its lexicographically
-        smallest sorted row tuple at the bound (None if there is none).
-        A bound at or below the floor is returned at once, without another
-        walk; `leaves` and `key` then mean nothing.
+        leaf below the returned bound; `leaves` counts its full-rank leaf
+        determinants.  A bound at or below the floor is returned at once,
+        without another walk; `leaves` then means nothing.
         """
         while bound > floor:
-            self.bound, self.lower, self.leaves, self.key = bound, None, 0, None
+            self.bound, self.lower, self.leaves = bound, None, 0
             self._walk(0, 1, (), 1, None)
             if self.lower is None:
                 break
@@ -291,7 +278,12 @@ class _Scan:
             return
         cols = [self._row(i, stop)[start - i - 1 : stop - i - 1] for i in prefix]
         if need == 1:
-            self._leaves(prefix, start, _leaf_dets(det, adj, norms[start:stop], cols))
+            dets = _leaf_dets(det, adj, norms[start:stop], cols)
+            zeros = dets.count(0)  # Gram determinants are >= 0; 0 is rank-deficient
+            self.leaves += len(dets) - zeros
+            low = min(filter(None, dets), default=self.bound) if zeros else min(dets)
+            if low < self.bound:
+                self.lower = low
             return
         for t in range(stop - start):
             k = start + t
@@ -326,23 +318,6 @@ class _Scan:
                 if self.key is not None:
                     return
 
-    def _leaves(self, prefix, start, dets):
-        zeros = dets.count(0)  # Gram determinants are >= 0; 0 is rank-deficient
-        self.leaves += len(dets) - zeros
-        low = min(filter(None, dets), default=None) if zeros else min(dets)
-        if low is None or low > self.bound:
-            return
-        if low < self.bound:
-            self.lower = low
-            return
-        # sorted(head + [r]) grows with r, so the smallest row at the bound
-        # gives this batch's smallest key
-        rows = self.rows
-        r = min(compress(rows[start : start + len(dets)], map(low.__eq__, dets)))
-        key = tuple(sorted([rows[i] for i in prefix] + [r]))
-        if self.key is None or key < self.key:
-            self.key = key
-
 
 def minimal_sublattice(
     lattice: IntegralLattice,
@@ -370,24 +345,26 @@ def minimal_sublattice(
     floor = _hermite_floor(lam, l)
 
     # Grow the pool from lambda_1 (module docstring); r <= _radius(h, u0).
-    # The last walk of the last pool is the confirm and witness scan, unless
-    # the Hermite floor proves the value: then a lexicographic walk over the
-    # pool of radius bv finds the witness.
+    # The last walk of the last pool is the confirm scan, unless the Hermite
+    # floor proves the value first.
     r, value = lam, u0
     while True:
         vectors = short_vectors(lattice, r, cap).vectors
         scan = _Scan(vectors, l, h)
         value = scan.run(value, floor)
         bv = _radius(h, value, lam, l)
-        if value <= floor:
-            if bv > r:
-                vectors = short_vectors(lattice, bv, cap).vectors
-            scan = _Scan(sorted(vectors, key=attrgetter("coords")), l, h)
-            scan.find(value, lam)
-            break
-        if bv <= r:
+        if value <= floor or bv <= r:
             break
         r = min(bv, 2 * r)
+    confirm_leaves = scan.leaves if value > floor else None
+    # The witness: a lexicographic walk over the pool of radius bv.  Only
+    # the floor can stop the growth short of bv.
+    if bv > r:
+        vectors = short_vectors(lattice, bv, cap).vectors
+    else:
+        vectors = vectors[: bisect_right(scan.norms, bv)]
+    scan = _Scan(sorted(vectors, key=attrgetter("coords")), l, h)
+    scan.find(value, lam)
     if scan.key is None:
         raise CertificateError(
             f"no rank-{l} sublattice of determinant {value} within the budget "
@@ -398,7 +375,8 @@ def minimal_sublattice(
         raise CertificateError(
             f"witness determinant {witness.det_l} differs from the value {value}"
         )
-    return SearchCertificate(l, value, witness, bv, scan.leaves, True)
+    examined = scan.leaves if confirm_leaves is None else confirm_leaves
+    return SearchCertificate(l, value, witness, bv, examined)
 
 
 def rank2_code_bound(code) -> int:

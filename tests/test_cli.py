@@ -168,6 +168,13 @@ def test_bounds_command(cache, capsys):
     assert "rankin,7,2,2.01885,3.17480,False" in lines
 
 
+def test_bounds_seed_searches_obey_the_cap(cache, capsys):
+    # the same D7 rank-2 search as `dl --family parity_check --n 7 --q 2 --l 2`
+    code, _, err = _run(capsys, ["bounds", "--n-max", "7", "--max-candidates", "30"])
+    assert code == 3
+    assert "cap 30" in err
+
+
 def test_rm_table_command(cache, capsys):
     code, out, _ = _run(capsys, ["rm-table", "--m-max", "5", "--format", "json"])
     assert code == 0

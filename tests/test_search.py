@@ -119,14 +119,32 @@ def test_even_implies_d2_at_least_3():
         assert minimal_sublattice(lat, 2, upper_hint=16).value >= 3
 
 
-def test_hint_never_changes_result():
-    lat = construction_a(parity_check_code(5, 3))
-    base = minimal_sublattice(lat, 2)
-    hinted = minimal_sublattice(lat, 2, upper_hint=81)
-    tight = minimal_sublattice(lat, 2, upper_hint=3)
-    assert base.value == hinted.value == tight.value == 3
-    assert base.witness.rows == hinted.witness.rows == tight.witness.rows
-    assert base.per_vector_bound == hinted.per_vector_bound
+Q4_CODE = LinearCode(
+    4,
+    8,
+    [[3, 2, 3, 3, 0, 0, 2, 3], [2, 3, 1, 2, 0, 2, 1, 3], [0, 1, 0, 3, 1, 0, 1, 3]],
+)
+
+
+@pytest.mark.parametrize(
+    "lat, l, hint, value",
+    [
+        (construction_a(parity_check_code(5, 3)), 2, 81, 3),  # on the Hermite floor
+        (construction_a(reed_muller_code(1, 4)), 2, 256, 16),
+        (construction_a(Q4_CODE), 2, 256, 20),
+        (
+            IntegralLattice.from_rows(json.loads((DATA / "rows_n5.json").read_text())["rows"]),
+            3, 50, 36,
+        ),
+    ],
+    ids=["parity-n5-q3-l2", "rm-1-4-l2", "q4-code-l2", "rows-n5-l3"],
+)
+def test_hint_never_changes_result(lat, l, hint, value):
+    certs = [minimal_sublattice(lat, l, upper_hint=h) for h in (None, hint, value)]
+    assert {c.value for c in certs} == {value}
+    assert len({c.witness.rows for c in certs}) == 1
+    assert len({c.per_vector_bound for c in certs}) == 1
+    assert len({c.candidates_examined for c in certs}) == 1
 
 
 def test_scaling_covariance():
@@ -280,13 +298,6 @@ def test_certificate_fields():
     assert cert.witness.ambient == lat
     rows_sorted = sorted(cert.witness.rows)
     assert list(cert.witness.rows) == rows_sorted
-
-
-Q4_CODE = LinearCode(
-    4,
-    8,
-    [[3, 2, 3, 3, 0, 0, 2, 3], [2, 3, 1, 2, 0, 2, 1, 3], [0, 1, 0, 3, 1, 0, 1, 3]],
-)
 
 
 @pytest.mark.parametrize(
