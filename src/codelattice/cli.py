@@ -45,6 +45,9 @@ from .lattices import (
     sublattice_from_rows,
 )
 from .sublattice_search import SEARCH_VERSION, SearchCertificate, minimal_sublattice
+
+# Imported here, not on first use: perfbench reads `codelattice.verify.CHECKS`
+# as an attribute of the package after importing cli.
 from .verify import render_report, run_checks
 
 EXIT_OK = 0

@@ -9,10 +9,8 @@ catalog, states each rule, and assigns the rules to the two profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
+from typing import NamedTuple
 
 from .codes import LinearCode, dual_code, parity_check_code
 from .exact import Radical
@@ -40,8 +38,7 @@ RANKIN = "rankin"
 BERGE_MARTINET = "berge_martinet"
 
 
-@dataclass(frozen=True)
-class KnownFact:
+class KnownFact(NamedTuple):
     """An exactly known constant value, with the lattice achieving it."""
 
     kind: str
@@ -130,16 +127,42 @@ def berge_martinet_invariant(code: LinearCode, l: int, search=None) -> Radical:
 # -- interval grid ----------------------------------------------------------
 
 
-@dataclass
 class BoundInterval:
-    """Exact bounds on one constant, with the derivations that set them."""
+    """Exact bounds on one constant, with the derivations that set them.
 
-    kind: str
-    n: int
-    l: int
-    lower: Radical
-    upper: Radical | None = None
-    provenance: list[str] = field(default_factory=list)
+    Mutable, since propagation tightens cells in place; `upper` None means
+    unbounded, and each interval gets its own `provenance` list.
+    """
+
+    __slots__ = ("kind", "n", "l", "lower", "upper", "provenance")
+
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        l: int,
+        lower: Radical,
+        upper: Radical | None = None,
+        provenance: list[str] | None = None,
+    ):
+        self.kind = kind
+        self.n = n
+        self.l = l
+        self.lower = lower
+        self.upper = upper
+        self.provenance = [] if provenance is None else provenance
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
+        return f"BoundInterval({inner})"
 
     def is_exact(self) -> bool:
         return self.upper is not None and self.lower == self.upper
@@ -155,8 +178,7 @@ class InconsistentBounds(ValueError):
         )
 
 
-@dataclass
-class PropagationResult:
+class PropagationResult(NamedTuple):
     cells: dict[tuple[str, int, int], BoundInterval]
     sweeps: int
     cap_hit: bool
@@ -414,8 +436,7 @@ def propagate_bounds(
 # -- asymptotic bounds for the half-rank constants --------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticBounds:
+class AsymptoticBounds(NamedTuple):
     """Certified decimal bounds on the order-(2k, k) Rankin constant."""
 
     k: int
@@ -431,6 +452,8 @@ def _round_sig(x, digits: int, direction: int) -> str:
     x is a zero-width interval endpoint; the scaling runs in interval
     arithmetic so the printed value never crosses the certified side.
     """
+    import mpmath
+
     iv = mpmath.iv
     if x <= 0:
         raise ValueError("positive value expected")
@@ -464,10 +487,13 @@ def asymptotic_bounds(k: int, digits: int = 6) -> AsymptoticBounds:
     (1 + k/2)**(k ln 2 + 1/2) above.  For k >= 5 an improved pair with
     constants pi and e is also evaluated and the tighter side is kept.
     All arithmetic runs in interval arithmetic at 120 bits with outward
-    rounding, so the printed decimals are still valid bounds.
+    rounding, so the printed decimals are still valid bounds.  mpmath is
+    imported here, on first use, so that no other request pays for it.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    import mpmath
+
     iv = mpmath.iv
     old_prec = iv.prec
     old_mp_prec = mpmath.mp.prec

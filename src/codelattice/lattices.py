@@ -179,13 +179,15 @@ def _check_hnf(basis) -> None:
 class IntegralLattice:
     """Full-rank integral lattice with a canonical HNF basis.
 
-    Immutable after construction; all methods are pure.  `_short` caches
-    the `ShortVectorList` that `enumeration.lattice_minimum` enumerated for
-    this lattice, from which `enumeration.short_vectors` serves every
-    request within its bound.
+    Immutable after construction; all methods are pure.  `_gram` holds
+    the Gram matrix once `gram` is first read, since many lattices never
+    need it: a cache hit, or a table that reads only `det_gram`.  `_short`
+    caches the `ShortVectorList` that `enumeration.lattice_minimum`
+    enumerated for this lattice, from which `enumeration.short_vectors`
+    serves every request within its bound.
     """
 
-    __slots__ = ("n", "basis", "gram", "det_gram", "_short")
+    __slots__ = ("n", "basis", "det_gram", "_gram", "_short")
 
     def __init__(self, basis):
         """basis must be the row HNF that `hnf` returns for a full-rank span:
@@ -194,12 +196,20 @@ class IntegralLattice:
         self.basis = tuple(tuple(map(int, row)) for row in basis)
         self.n = len(self.basis)
         _check_hnf(self.basis)
-        self.gram = tuple(tuple(r) for r in gram_matrix(self.basis))
         d = 1
         for i in range(self.n):
             d *= self.basis[i][i]
         self.det_gram = d * d
+        self._gram = None
         self._short = None
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The Gram matrix B B^T of the HNF basis B, built on first read."""
+        g = self._gram
+        if g is None:
+            g = self._gram = tuple(tuple(r) for r in gram_matrix(self.basis))
+        return g
 
     @classmethod
     def from_rows(cls, rows) -> "IntegralLattice":

@@ -27,9 +27,9 @@ import fnmatch
 import functools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .codes import (
     EnumerationTooLarge,
@@ -75,8 +75,7 @@ OPEN_CONSTANTS_NOTE = (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str  # "pass" | "fail" | "skipped"
     expected: str
@@ -92,8 +91,7 @@ DUAL_Q = (2, 3)
 SEED = 20240
 
 
-@dataclass(frozen=True)
-class _Context:
+class _Context(NamedTuple):
     """What every check reads; built once per `run_checks` call, so the
     lattices and duals the corpus codes cache are shared by the checks."""
 

@@ -311,6 +311,20 @@ def _run_in_own_process(argv, module=("-m", "codelattice.cli")):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_import_loads_neither_mpmath_nor_dataclasses():
+    """A CLI process imports only what requests run; mpmath loads on the
+    first `asymptotic_bounds` call."""
+    script = (
+        "import sys, codelattice, codelattice.cli\n"
+        "print(sorted({'mpmath', 'dataclasses', 'codelattice.verify'} & set(sys.modules)))\n"
+        "b = codelattice.asymptotic_bounds(2)\n"
+        "print('mpmath' in sys.modules, b.lower)\n"
+    )
+    code, out, err = _run_in_own_process([], module=("-c", script))
+    assert code == 0, err
+    assert out.splitlines() == ["['codelattice.verify']", "True 0.166666"]
+
+
 def test_out_of_range_rank_exits_2_from_the_shell(tmp_path):
     code, _, err = _run_in_own_process(
         ["gamma", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "7",

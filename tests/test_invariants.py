@@ -39,6 +39,25 @@ def test_known_facts_table():
     assert known_fact(RANKIN, 2, 1).value == Radical(Fraction(4, 3), 2)
     assert known_fact(RANKIN, 5, 2) is None
     assert len(known_facts()) == 24
+    with pytest.raises(AttributeError):
+        known_fact(RANKIN, 6, 2).value = Radical(1)
+
+
+def test_bound_interval_record():
+    a = BoundInterval(RANKIN, 4, 2, lower=Radical(1))
+    b = BoundInterval(RANKIN, 4, 2, lower=Radical(1))
+    assert a.upper is None and a.provenance == [] and a.provenance is not b.provenance
+    assert a == b
+    a.provenance.append("seed")
+    assert a != b and b.provenance == []
+    b.provenance.append("seed")
+    assert a == b
+    assert a != BoundInterval(RANKIN, 4, 2, lower=Radical(1), upper=Radical(2), provenance=["seed"])
+    assert a != BoundInterval(BERGE_MARTINET, 4, 2, lower=Radical(1), provenance=["seed"])
+    assert repr(a) == (
+        f"BoundInterval(kind='rankin', n=4, l=2, lower={Radical(1)!r}, upper=None, "
+        "provenance=['seed'])"
+    )
 
 
 def test_rankin_examples():
@@ -239,7 +258,16 @@ def test_inconsistency_matches_oracle(bogus, rules):
 
 
 def test_asymptotic_bounds():
-    b2 = asymptotic_bounds(2)
+    import mpmath
+
+    mpmath.mp.prec, mpmath.iv.prec = 70, 90
+    try:
+        b2 = asymptotic_bounds(2)
+        assert (mpmath.mp.prec, mpmath.iv.prec) == (70, 90)
+    finally:
+        mpmath.mp.prec = mpmath.iv.prec = 53
+    with pytest.raises(AttributeError):
+        b2.lower = "0"
     assert b2.lower.startswith("0.16666")
     assert b2.lower_rule == "(k/12)^(k/2)"
     b4 = asymptotic_bounds(4)

@@ -210,6 +210,17 @@ def test_det_int_matches_diagonal_square():
         assert det_int([list(r) for r in lat.gram]) == lat.det_gram
 
 
+def test_gram_built_on_first_read_only():
+    lat = construction_a(reed_muller_code(1, 3))
+    assert lat.det_gram == 256 and hash(lat) == hash(lat.basis)
+    assert lat == IntegralLattice(lat.basis)
+    assert lat._gram is None
+    gram = lat.gram
+    rows = lat.basis
+    assert gram == tuple(tuple(sum(a * b for a, b in zip(u, v)) for v in rows) for u in rows)
+    assert lat.gram is gram
+
+
 def test_constructor_rejects_non_hnf_basis():
     for bad in (
         [[0, 1], [1, 0]],  # zero pivot
