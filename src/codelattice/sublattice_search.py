@@ -5,17 +5,22 @@ sublattices of an integral lattice.  The method enumerates candidate
 vectors up to an exact per-vector norm bound and walks index-increasing
 tuples with a product-of-norms prune:
 
-* a minimising sublattice has a Minkowski-reduced basis whose norms are
-  the successive minima (true for rank <= 4), so the product of its norms
-  is at most H_l * d_l with H_l = (4/3)**(l*(l-1)/2), and each norm is at
-  most R(d_l) = H_l * d_l / lambda1**(2(l-1));
-* tuples whose partial norm product already exceeds the H_l budget cannot
-  be that reduced basis and are pruned; rank-deficient prefixes are
-  skipped; exact Gram determinants are evaluated at the leaves.
+* a minimising sublattice M has a basis whose norms are its successive
+  minima (true for rank <= 4, van der Waerden), and Minkowski's second
+  theorem bounds their product by gamma_l**l * d_l, where
+  gamma_l**l = 1, 4/3, 2, 4 for l = 1, 2, 3, 4 is the l-th power of
+  Hermite's constant (Conway & Sloane, SPLAG ch. 1 section 2; the table
+  is `enumeration.HERMITE_POWER`); each norm is then at most
+  R(d_l) = gamma_l**l * d_l / lambda1**(2(l-1));
+* tuples whose partial norm product already exceeds the budget
+  gamma_l**l * bound cannot be that basis and are pruned; rank-deficient
+  prefixes are skipped; exact Gram determinants are evaluated at the
+  leaves.
 
-One kernel, `_Scan`, walks the tuples of a pool (the candidate vectors in
-ascending norm order).  Adding a vector of norm n to a prefix with Gram
-matrix G_k updates the determinant by the Schur complement
+One walker, `_Scan._walk`, visits the tuples of a pool (the candidate
+vectors in ascending (norm, coords) order).  Adding a vector of norm n to
+a prefix with Gram matrix G_k updates the determinant by the Schur
+complement
 
     det_{k+1} = det_k * n - u^T adj(G_k) u,
 
@@ -24,8 +29,9 @@ exactly by adj' = [[(det_{k+1} adj + w w^T) / det_k, -w], [-w^T, det_k]]
 with w = adj u (det_k > 0, as rank-deficient prefixes are skipped).  Each
 loop stops at the index found by bisecting the ascending norms against the
 budget, and the dot products of the prefix vectors are computed on demand,
-only up to that index.  A walk has the fixed budget H_l * bound; a leaf
-below the bound ends it, and a new walk starts at that leaf's determinant.
+only up to that index.  A walk has the fixed budget gamma_l**l * bound; a
+leaf below the bound ends it, and a new walk starts at that leaf's
+determinant.
 
 The candidate pool grows from what has been proven, not from the upper
 bound u0 (the Gram determinant of the first l basis rows, or the hint if
@@ -40,38 +46,32 @@ Pools within the radius `lattice_minimum` enumerated are prefixes of its
 list, so on most lattices only pools beyond it need a walk.
 
 The last walk of the final pool is the confirm scan: a fixed-threshold
-walk at the budget H_l * value that found no leaf below the value.  Norms
-are ascending and each is at least lambda1**2, so a tuple that reaches a
-vector of norm n > bv = floor(H_l * value / lambda1**(2(l-1))) has a norm
-product of at least n * lambda1**(2(l-1)) > H_l * value and is pruned.
+walk at the budget gamma_l**l * value that found no leaf below the value.
+Norms are ascending and each is at least lambda1**2, so a tuple that
+reaches a vector of norm n > bv = floor(gamma_l**l * value /
+lambda1**(2(l-1))) has a norm product above the budget and is pruned.
 The scan thus never reads past bv (the reported per_vector_bound), and a
 pool of any larger radius, such as a doubled one, would give it the same
-leaves: a rerun at a wider radius under the same prune cannot test whether
-H_l is sharp, so none is made.
+leaves.
 
 The Hermite floor often proves the value before that scan.  Every rank-l
 sublattice M has det M >= lambda1(M)**(2l) / gamma_l**l by the definition
-of Hermite's constant gamma_l, and lambda1(M) >= lambda1(L), so
+of Hermite's constant, and lambda1(M) >= lambda1(L), so
 
-    d_l >= floor_l = ceil(lambda1**(2l) / gamma_l**l),
-    gamma_l**l = 1, 4/3, 2, 4 for l = 1, 2, 3, 4
+    d_l >= floor_l = ceil(lambda1**(2l) / gamma_l**l).
 
-(Conway & Sloane, SPLAG ch. 1 section 2; the table is
-`enumeration.HERMITE_POWER`).  Determinants are integers, hence the
-ceiling.  Once the value is <= floor_l it equals d_l (a valid value is
-never below d_l), so no further walk or growth pool is needed; the
-extremal sublattices of E8, D_n and their relatives all sit on this floor.
+Determinants are integers, hence the ceiling.  Once the value is
+<= floor_l it equals d_l (a valid value is never below d_l), so no leaf
+can be lower: the walk at the value stops at its first leaf there
+instead of scanning the whole budget, and the pool grows straight to bv.
+The extremal sublattices of E8, D_n and their relatives all sit on this
+floor.
 
-The scans only prove the value.  The witness comes from one walk over
-the pool of radius bv in lexicographic row order that stops at the first
-leaf whose determinant is the value.  It keeps the budget H_l * value,
-but as norms are not sorted in that order it bounds each unplaced slot by
-lambda1**2 alone, so its leaves are the tuples whose norm product is
-within the budget and whose prefixes have full rank.  The pool's index
-order is the rows' lexicographic order and the walk visits index tuples
-in increasing order, so its first hit is the lexicographically smallest
-sorted row tuple among the minimal tuples within the budget.  That
-depends only on the proven value (never on hints), so hints and caching
+The witness is the first leaf at the value of the last walk, over a pool
+that holds every vector of norm <= bv: the index-first tuple, in the
+pool's (norm, coords) order, among the tuples within the budget
+gamma_l**l * value whose determinant is the value.  That depends only on
+the lattice and the proven value (never on hints), so hints and caching
 never change the returned value or witness, only the work performed.  A
 hint that no sublattice attains leaves the walk without a hit, which
 raises CertificateError.  The witness is re-checked against the value by
@@ -81,8 +81,7 @@ an exact determinant; a mismatch raises CertificateError too.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
-from operator import attrgetter, mul
+from operator import mul
 
 from .enumeration import HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
 from .lattices import (
@@ -92,33 +91,25 @@ from .lattices import (
     sublattice_from_rows,
 )
 
-__all__ = ["SearchCertificate", "minimal_sublattice", "rank2_code_bound", "H_FACTOR"]
-
-# (4/3)**(l*(l-1)/2): reduction-theory norm-product budget, valid for l <= 4.
-H_FACTOR = {
-    1: Fraction(1),
-    2: Fraction(4, 3),
-    3: Fraction(64, 27),
-    4: Fraction(4096, 729),
-}
+__all__ = ["SearchCertificate", "minimal_sublattice", "rank2_code_bound"]
 
 # Bumped whenever the search changes what a certificate reports; part of the
 # CLI cache key, so entries of an older search are recomputed, not served.
-SEARCH_VERSION = 2
+SEARCH_VERSION = 3
 
 
 class SearchCertificate:
     """Result of a minimal-sublattice search.
 
     value is the exact minimal rank-l Gram determinant; witness is a
-    sublattice achieving it; per_vector_bound is the largest norm the
-    confirm scan or witness walk can reach, derived from the value.
-    candidates_examined counts full-rank leaf determinants: when the value
-    is above the Hermite floor, every leaf of the confirm scan (the full
-    budget at the value); when the floor proves the value, the leaves the
-    witness walk evaluated before it stopped, at most the confirm scan's
-    count.  confirmed_by_escalation is always True: every returned value
-    is proven.
+    sublattice achieving it, the first tuple at the value that the last walk
+    visits; per_vector_bound is the largest norm that walk can reach,
+    derived from the value.  candidates_examined counts the full-rank leaf
+    determinants of that walk: when the value is above the Hermite floor,
+    every leaf of the confirm scan (the full budget at the value); when the
+    floor proves the value, the leaves evaluated before the walk stopped at
+    its first hit, at most the confirm scan's count.
+    confirmed_by_escalation is always True: every returned value is proven.
     """
 
     __slots__ = ("l", "value", "witness", "per_vector_bound", "candidates_examined")
@@ -146,9 +137,11 @@ def _hermite_floor(lam: int, l: int) -> int:
     return -(-(lam**l) * g.denominator // g.numerator)
 
 
-def _radius(h: Fraction, upper: int, lam: int, l: int) -> int:
-    bv = (h.numerator * upper) // (h.denominator * lam ** (l - 1))
-    return max(bv, lam)
+def _radius(upper: int, lam: int, l: int) -> int:
+    """floor(gamma_l**l * upper / lam**(l-1)), at least lam: the largest
+    norm a tuple within the budget at upper can hold."""
+    g = HERMITE_POWER[l]
+    return max((g.numerator * upper) // (g.denominator * lam ** (l - 1)), lam)
 
 
 def _extend(det, adj, u, n):
@@ -210,53 +203,42 @@ _POWER = (None, None, lambda v: v * v, lambda v: v * v * v, lambda v: (v * v) * 
 class _Scan:
     """Index-increasing l-tuples of one pool under the norm-product prune.
 
-    The pool (rows and norms) and the dot products computed so far stay
-    with the object across walks.  `run` proves the value and needs the
-    pool in ascending norm order; `find` finds the witness and walks the
-    pool in whatever order it is given, which `minimal_sublattice` makes
-    lexicographic.
+    The pool (rows and norms, in ascending norm order) and the dot
+    products computed so far stay with the object across walks.
     """
 
     __slots__ = (
-        "rows", "norms", "dots", "l", "hn", "hd", "bound", "lower", "leaves", "key", "lam"
+        "rows", "norms", "dots", "l", "hn", "hd", "bound", "first", "lower", "leaves", "key"
     )
 
-    def __init__(self, vectors, l: int, h: Fraction):
+    def __init__(self, vectors, l: int):
         self.rows = [v.coords for v in vectors]
         self.norms = [v.norm for v in vectors]
         self.dots: list[list[int] | None] = [None] * len(self.norms)
         self.l = l
-        self.hn, self.hd = h.numerator, h.denominator
+        g = HERMITE_POWER[l]
+        self.hn, self.hd = g.numerator, g.denominator
 
     def run(self, bound: int, floor: int) -> int:
         """Smallest leaf determinant within its own budget, or the bound.
 
-        A walk visits every tuple within the budget H_l * bound.  A leaf
-        below the bound ends the walk, and a new walk starts at that leaf's
-        determinant, so the last walk is a fixed-budget scan that found no
-        leaf below the returned bound; `leaves` counts its full-rank leaf
-        determinants.  A bound at or below the floor is returned at once,
-        without another walk; `leaves` then means nothing.
+        A walk visits the tuples within the budget gamma_l**l * bound in
+        index order.  A leaf below the bound ends the walk, and a new walk
+        starts at that leaf's determinant, so the last walk found no leaf
+        below the returned bound.  Above the floor it visits every tuple
+        within the budget; on it (bound <= floor) no leaf can be lower, and
+        it stops at its first leaf at the bound.  `key` holds the rows of
+        the last walk's first leaf at the returned bound (None if there is
+        none) and `leaves` counts its full-rank leaf determinants, whole
+        batches at a time.
         """
-        while bound > floor:
-            self.bound, self.lower, self.leaves = bound, None, 0
+        while True:
+            self.bound, self.first = bound, bound <= floor
+            self.lower, self.leaves, self.key = None, 0, None
             self._walk(0, 1, (), 1, None)
             if self.lower is None:
-                break
+                return bound
             bound = self.lower
-        return bound
-
-    def find(self, value: int, lam: int) -> None:
-        """Walk the tuples in pool order up to the first leaf at the value.
-
-        The budget is H_l * value; norms need not be sorted, so each
-        unplaced slot is bounded by lam (the minimal norm) alone.  `key` is
-        the rows of the first leaf whose determinant is the value (None if
-        there is none) and `leaves` counts the full-rank leaf determinants
-        evaluated, whole batches at a time.
-        """
-        self.bound, self.lam, self.leaves, self.key = value, lam, 0, None
-        self._first(0, 1, (), 1, None)
 
     def _row(self, i: int, stop: int) -> list[int]:
         """Dot products of vector i with vectors i+1 .. stop-1, grown on demand."""
@@ -270,53 +252,35 @@ class _Scan:
         return row
 
     def _walk(self, start, prod, prefix, det, adj):
+        """Walk the tuples extending prefix; True once the walk is over."""
         need = self.l - len(prefix)
         norms = self.norms
         budget = self.hn * self.bound // (prod * self.hd)
         stop = bisect_right(norms, budget, start, key=_POWER[need])
         if stop <= start:
-            return
+            return False
         cols = [self._row(i, stop)[start - i - 1 : stop - i - 1] for i in prefix]
         if need == 1:
             dets = _leaf_dets(det, adj, norms[start:stop], cols)
             zeros = dets.count(0)  # Gram determinants are >= 0; 0 is rank-deficient
             self.leaves += len(dets) - zeros
-            low = min(filter(None, dets), default=self.bound) if zeros else min(dets)
+            low = min(filter(None, dets), default=None) if zeros else min(dets)
+            if low is None or low > self.bound:
+                return False
             if low < self.bound:
                 self.lower = low
-            return
+                return True
+            if self.key is None:
+                hit = start + dets.index(low)
+                self.key = tuple(self.rows[i] for i in prefix + (hit,))
+            return self.first
         for t in range(stop - start):
             k = start + t
             nk = norms[k]
             d, a = _extend(det, adj, [c[t] for c in cols], nk)
-            if d > 0:
-                self._walk(k + 1, prod * nk, prefix + (k,), d, a)
-                if self.lower is not None:
-                    return
-
-    def _first(self, start, prod, prefix, det, adj):
-        need = self.l - len(prefix)
-        norms = self.norms
-        top = self.hn * self.bound // (prod * self.hd * self.lam ** (need - 1))
-        ks = [k for k in range(start, len(norms)) if norms[k] <= top]
-        if not ks:
-            return
-        dots = [self._row(i, ks[-1] + 1) for i in prefix]
-        if need == 1:
-            cols = [[row[k - i - 1] for k in ks] for i, row in zip(prefix, dots)]
-            dets = _leaf_dets(det, adj, [norms[k] for k in ks], cols)
-            self.leaves += len(dets) - dets.count(0)
-            if self.bound in dets:
-                hit = ks[dets.index(self.bound)]
-                self.key = tuple(self.rows[i] for i in prefix + (hit,))
-            return
-        for k in ks:
-            nk = norms[k]
-            d, a = _extend(det, adj, [row[k - i - 1] for i, row in zip(prefix, dots)], nk)
-            if d > 0:
-                self._first(k + 1, prod * nk, prefix + (k,), d, a)
-                if self.key is not None:
-                    return
+            if d > 0 and self._walk(k + 1, prod * nk, prefix + (k,), d, a):
+                return True
+        return False
 
 
 def minimal_sublattice(
@@ -330,7 +294,7 @@ def minimal_sublattice(
     upper_hint, when given, must be a valid upper bound on the answer (for
     Construction A lattices q**(2l) always is); it can only shrink the
     enumerations before the value is proven.  l is capped at 4, the range
-    where the norm product budget H_FACTOR is valid.
+    where the norm-product budget gamma_l**l is valid.
     """
     n = lattice.n
     if not 1 <= l <= min(4, n):
@@ -341,30 +305,19 @@ def minimal_sublattice(
         if upper_hint < 1:
             raise ValueError("upper_hint must be positive")
         u0 = min(u0, int(upper_hint))
-    h = H_FACTOR[l]
     floor = _hermite_floor(lam, l)
 
-    # Grow the pool from lambda_1 (module docstring); r <= _radius(h, u0).
-    # The last walk of the last pool is the confirm scan, unless the Hermite
-    # floor proves the value first.
+    # Grow the pool from lambda_1 (module docstring); r <= _radius(u0).  The
+    # last walk of the last pool is the confirm scan, or on the Hermite
+    # floor the walk to the first hit; either gives the witness.
     r, value = lam, u0
     while True:
-        vectors = short_vectors(lattice, r, cap).vectors
-        scan = _Scan(vectors, l, h)
+        scan = _Scan(short_vectors(lattice, r, cap).vectors, l)
         value = scan.run(value, floor)
-        bv = _radius(h, value, lam, l)
-        if value <= floor or bv <= r:
+        bv = _radius(value, lam, l)
+        if bv <= r:
             break
-        r = min(bv, 2 * r)
-    confirm_leaves = scan.leaves if value > floor else None
-    # The witness: a lexicographic walk over the pool of radius bv.  Only
-    # the floor can stop the growth short of bv.
-    if bv > r:
-        vectors = short_vectors(lattice, bv, cap).vectors
-    else:
-        vectors = vectors[: bisect_right(scan.norms, bv)]
-    scan = _Scan(sorted(vectors, key=attrgetter("coords")), l, h)
-    scan.find(value, lam)
+        r = bv if value <= floor else min(bv, 2 * r)
     if scan.key is None:
         raise CertificateError(
             f"no rank-{l} sublattice of determinant {value} within the budget "
@@ -375,8 +328,7 @@ def minimal_sublattice(
         raise CertificateError(
             f"witness determinant {witness.det_l} differs from the value {value}"
         )
-    examined = scan.leaves if confirm_leaves is None else confirm_leaves
-    return SearchCertificate(l, value, witness, bv, examined)
+    return SearchCertificate(l, value, witness, bv, scan.leaves)
 
 
 def rank2_code_bound(code) -> int:

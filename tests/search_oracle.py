@@ -1,19 +1,39 @@
 """The three-scan minimal-sublattice search, kept as a test oracle.
 
-This is the package's previous search: a value scan with an adaptive
-prune over a pool grown from the lattice minimum, an escalation rerun of
-the value scan over a pool of doubled radius, and a separate witness scan
-at the fixed threshold H_l * value.  Leaf determinants come from the
-explicit 2x2, 3x3 and 4x4 cofactor expansions of a flat Gram tuple, not
-from the Schur-complement update that `minimal_sublattice` uses, so the
-tests compare the two certificate by certificate.
+This is an early form of the package's search: a value scan with an
+adaptive prune over a pool grown from the lattice minimum, an escalation
+rerun of the value scan over a pool of doubled radius, and a separate
+witness scan at the fixed threshold h * value, whose witness is the first
+leaf at the value in visit order.  The norm-product budget h is an
+argument: H_FACTOR[l] = (4/3)**(l(l-1)/2), the looser budget of a
+Minkowski-reduced basis, or gamma_l**l, the search's own.  Leaf determinants
+come from the explicit 2x2, 3x3 and 4x4 cofactor expansions of a flat Gram
+tuple, not from the Schur-complement update that `minimal_sublattice`
+uses, and no Hermite floor closes a scan early, so the tests compare the
+two certificate by certificate.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from codelattice.enumeration import lattice_minimum, short_vectors
 from codelattice.lattices import det_int, gram_matrix, sublattice_from_rows
-from codelattice.sublattice_search import H_FACTOR, _radius
+
+# (4/3)**(l*(l-1)/2): the norm-product budget of a Minkowski-reduced basis,
+# valid for l <= 4 and at least gamma_l**l
+H_FACTOR = {
+    1: Fraction(1),
+    2: Fraction(4, 3),
+    3: Fraction(64, 27),
+    4: Fraction(4096, 729),
+}
+
+
+def _radius(h, upper, lam, l):
+    """The largest norm a tuple within the budget h * upper can hold."""
+    bv = (h.numerator * upper) // (h.denominator * lam ** (l - 1))
+    return max(bv, lam)
 
 
 class OracleCertificate:
@@ -84,7 +104,7 @@ def _walk(pool, l, hn, hd, state, fixed, start, prod, idxs, flat):
     """Index-increasing tuples under the budget hn/hd * state['bound'].
 
     Adaptive (fixed=False): the bound falls to each smaller leaf.  Fixed:
-    leaves are counted and the smallest sorted row tuple at the bound kept.
+    leaves are counted and the rows of the first leaf at the bound kept.
     """
     norms = pool.norms
     need = l - len(idxs)
@@ -104,10 +124,8 @@ def _walk(pool, l, hn, hd, state, fixed, start, prod, idxs, flat):
                 state["bound"] = d
         else:
             state["leaves"] += 1
-            if d == state["bound"]:
-                key = tuple(sorted(pool.rows[i] for i in idxs + [k]))
-                if state["key"] is None or key < state["key"]:
-                    state["key"] = key
+            if d == state["bound"] and state["key"] is None:
+                state["key"] = tuple(pool.rows[i] for i in idxs + [k])
 
 
 def _scan(pool, l, h, bound, fixed):
@@ -116,13 +134,13 @@ def _scan(pool, l, h, bound, fixed):
     return state
 
 
-def oracle_minimal_sublattice(lattice, l, upper_hint=None, cap=10_000_000):
-    """Same certificate fields as `minimal_sublattice`, by three scans."""
+def oracle_minimal_sublattice(lattice, l, h, upper_hint=None, cap=10_000_000):
+    """Same certificate fields as `minimal_sublattice`, by three scans at
+    the norm-product budget h."""
     lam, _ = lattice_minimum(lattice)
     u0 = det_int(gram_matrix(lattice.basis[:l]))
     if upper_hint is not None:
         u0 = min(u0, int(upper_hint))
-    h = H_FACTOR[l]
 
     r, value = lam, u0
     while True:

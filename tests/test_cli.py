@@ -69,24 +69,26 @@ def test_entry_under_pre_version_key_is_recomputed(cache, capsys):
     argv = ["dl", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "2", "--format", "json"]
     _, cold_out, _ = _run(capsys, argv)
     [entry] = cache.rglob("*.json")
-    # the key before the search version entered it: basis rows and rank only
-    basis = construction_a(parity_check_code(4, 2)).basis
-    blob = json.dumps([list(r) for r in basis] + [2], sort_keys=True)
-    old_key = hashlib.sha256(blob.encode()).hexdigest()
-    assert entry.stem != old_key
-    doc = json.loads(entry.read_text())
-    doc.update(key=old_key, candidates_examined=999)
-    old = cache / old_key[:2] / (old_key + ".json")
-    old.parent.mkdir(exist_ok=True)
-    old.write_text(json.dumps(doc))
-    entry.unlink()
-    code, out, err = _run(capsys, argv)
-    assert code == 0
-    assert err == ""
-    warm = json.loads(out)
-    assert warm["cached"] is False
-    assert warm["candidates_examined"] == json.loads(cold_out)["candidates_examined"] != 999
-    assert entry.exists()
+    stored = json.loads(entry.read_text())
+    basis = [list(r) for r in construction_a(parity_check_code(4, 2)).basis]
+    # the key before the search version entered it (basis rows and rank
+    # only), and the key of search version 2
+    for tail in ([2], [2, 2]):
+        blob = json.dumps(basis + tail, sort_keys=True)
+        old_key = hashlib.sha256(blob.encode()).hexdigest()
+        assert entry.stem != old_key
+        doc = dict(stored, key=old_key, candidates_examined=999)
+        old = cache / old_key[:2] / (old_key + ".json")
+        old.parent.mkdir(exist_ok=True)
+        old.write_text(json.dumps(doc))
+        entry.unlink()
+        code, out, err = _run(capsys, argv)
+        assert code == 0
+        assert err == ""
+        warm = json.loads(out)
+        assert warm["cached"] is False
+        assert warm["candidates_examined"] == json.loads(cold_out)["candidates_examined"] != 999
+        assert entry.exists()
 
 
 def test_gamma_json_round_trip(cache, capsys):

@@ -34,7 +34,8 @@ from codelattice.sublattice_search import (
     minimal_sublattice,
     rank2_code_bound,
 )
-from search_oracle import oracle_minimal_sublattice
+from closed_form_oracle import corank_one_minimum, top_rank_minimum
+from search_oracle import H_FACTOR, oracle_minimal_sublattice
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,8 +176,8 @@ def test_higher_rank_on_small_lattice():
 def test_rank3_e8_matches_known_value():
     lat = construction_a(reed_muller_code(1, 3))
     cert = minimal_sublattice(lat, 3, upper_hint=64)
-    # 32 is the Hermite floor 4**3 / 2: the witness walk stops after 118
-    # leaves, where the confirm scan evaluated 279,720
+    # 32 is the Hermite floor 4**3 / 2: the walk at the value stops at its
+    # first hit after 118 leaves, where a confirm scan evaluates 279,720
     assert (cert.value, cert.candidates_examined) == (32, 118)
     assert cert.confirmed_by_escalation
     assert rankin_invariant(lat, cert) == Radical(4)
@@ -185,7 +186,8 @@ def test_rank3_e8_matches_known_value():
 def test_rank4_e8_pinned():
     lat = construction_a(reed_muller_code(1, 3))
     cert = minimal_sublattice(lat, 4, upper_hint=256)
-    assert (cert.value, cert.per_vector_bound) == (64, 5)
+    # per_vector_bound floor(gamma_4**4 * 64 / 4**3) = 4: only minimal vectors
+    assert (cert.value, cert.per_vector_bound) == (64, 4)
     assert cert.witness.rows == (
         (0, 0, 0, 0, 0, 0, 0, 2),
         (0, 0, 0, 0, 0, 0, 2, 0),
@@ -296,8 +298,9 @@ def test_certificate_fields():
     assert cert.per_vector_bound >= 2
     assert cert.candidates_examined > 0
     assert cert.witness.ambient == lat
-    rows_sorted = sorted(cert.witness.rows)
-    assert list(cert.witness.rows) == rows_sorted
+    # the rows come in the pool's (norm, coords) order
+    rows = list(cert.witness.rows)
+    assert rows == sorted(rows, key=lambda r: (sum(x * x for x in r), r))
 
 
 @pytest.mark.parametrize(
@@ -312,8 +315,9 @@ def test_certificate_fields():
 )
 def test_benchmark_certificates_pinned(code, l, value, leaves):
     # E8 at l = 3 is pinned in test_rank3_e8_matches_known_value.  E8 and D8
-    # sit on the Hermite floor (leaves of the witness walk); L_RM(1,4) and
-    # the q = 4 code are above it (leaves of the full confirm scan).
+    # sit on the Hermite floor (leaves of the walk up to its first hit);
+    # L_RM(1,4) and the q = 4 code are above it (leaves of the full confirm
+    # scan).
     cert = minimal_sublattice(construction_a(code), l, upper_hint=code.q ** (2 * l))
     assert (cert.value, cert.candidates_examined) == (value, leaves)
     assert cert.confirmed_by_escalation
@@ -328,13 +332,13 @@ def test_rows_lattice_certificate_pinned():
     assert lattice_minimum(lat) == (3, (0, 1, 1, -1, 0))
     assert lat._short.bound == 8
     cert = minimal_sublattice(lat, 3)
-    assert (cert.value, cert.per_vector_bound, cert.candidates_examined) == (36, 9, 14)
-    assert cert.witness.rows == ((0, 1, 1, -1, 0), (0, 1, 1, 2, 1), (1, 0, -1, -1, -1))
+    assert (cert.value, cert.per_vector_bound, cert.candidates_examined) == (36, 8, 9)
+    assert cert.witness.rows == ((0, 1, 1, -1, 0), (1, 1, 0, 1, 0), (1, 0, -1, -1, -1))
 
 
 def test_pool_grows_from_minimum_within_hint_radius(monkeypatch):
     from codelattice import sublattice_search
-    from codelattice.sublattice_search import H_FACTOR, _radius
+    from codelattice.sublattice_search import _radius
 
     radii = []
 
@@ -363,26 +367,41 @@ def test_pool_grows_from_minimum_within_hint_radius(monkeypatch):
             assert radii[0] == lam
             assert radii == sorted(set(radii))
             assert radii[-1] >= cert.per_vector_bound
-            assert radii[-1] <= _radius(H_FACTOR[l], u0, lam, l)
+            assert radii[-1] <= _radius(u0, lam, l)
 
 
-def _matches_oracle(lat, l, cert, expected) -> bool:
+def _oracles(lat, l, hint, cap=10_000_000):
+    """The oracle's certificates at the budgets H_l and gamma_l**l (one
+    run where the two agree, l <= 2)."""
+    loose = oracle_minimal_sublattice(lat, l, H_FACTOR[l], upper_hint=hint, cap=cap)
+    if HERMITE_POWER[l] == H_FACTOR[l]:
+        return loose, loose
+    return loose, oracle_minimal_sublattice(lat, l, HERMITE_POWER[l], upper_hint=hint, cap=cap)
+
+
+def _matches_oracle(lat, l, cert, loose, tight) -> bool:
     """Assert cert matches the oracle's; True if the Hermite floor closed it.
 
-    Value, witness, bound and flag are always equal.  Above the floor the
-    confirm scan's leaves are equal too; on the floor the witness walk stops
-    at its first hit, so it examines at most the confirm scan's leaves.
+    The value and flag equal those of the oracle at the looser budget H_l,
+    which shares no gamma_l**l theory with the search.  Against the oracle
+    at gamma_l**l, the search's own budget, value, witness, bound and flag
+    are equal too.  Above the floor the confirm scan's leaves are equal; on
+    the floor the walk stops at its first hit, so it examines at most the
+    confirm scan's leaves.
     """
+    assert (cert.value, cert.confirmed_by_escalation) == (
+        loose.value, loose.confirmed_by_escalation
+    )
     fields = [
         (c.value, c.witness.rows, c.per_vector_bound, c.confirmed_by_escalation)
-        for c in (cert, expected)
+        for c in (cert, tight)
     ]
     assert fields[0] == fields[1]
     closed = cert.value <= _hermite_floor(lattice_minimum(lat)[0], l)
     if closed:
-        assert cert.candidates_examined <= expected.candidates_examined
+        assert cert.candidates_examined <= tight.candidates_examined
     else:
-        assert cert.candidates_examined == expected.candidates_examined
+        assert cert.candidates_examined == tight.candidates_examined
     return closed
 
 
@@ -400,10 +419,11 @@ def test_matches_three_scan_oracle_on_random_codes():
         try:
             # the oracle's doubled escalation radius is its largest pool; a
             # weight-1 codeword at l >= 3 makes it run to millions of vectors
-            expected = oracle_minimal_sublattice(lat, l, upper_hint=hint, cap=5000)
+            expected = _oracles(lat, l, hint, cap=5000)
         except EnumerationCap:
             continue
-        closed += _matches_oracle(lat, l, minimal_sublattice(lat, l, upper_hint=hint), expected)
+        cert = minimal_sublattice(lat, l, upper_hint=hint)
+        closed += _matches_oracle(lat, l, cert, *expected)
         compared += 1
     assert compared >= 150
     assert 0 < closed < compared
@@ -416,8 +436,45 @@ def test_matches_three_scan_oracle_on_benchmark_jobs():
                     (reed_muller_code(1, 4), 2), (Q4_CODE, 2)):
         lat = construction_a(code)
         hint = code.q ** (2 * l)
-        expected = oracle_minimal_sublattice(lat, l, upper_hint=hint)
-        _matches_oracle(lat, l, minimal_sublattice(lat, l, upper_hint=hint), expected)
+        cert = minimal_sublattice(lat, l, upper_hint=hint)
+        _matches_oracle(lat, l, cert, *_oracles(lat, l, hint))
+
+
+def _closed_form_cases(rng, count):
+    """Random code and from_rows lattices of dimension 2-5."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(2, 5)
+        if len(cases) % 2:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            try:
+                lat = IntegralLattice.from_rows(rows)
+            except RankDeficient:
+                continue
+        else:
+            q = rng.choice((2, 3, 4))
+            k = rng.randint(1, n)
+            lat = construction_a(
+                LinearCode(q, n, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+            )
+        cases.append(lat)
+    return cases
+
+
+def test_top_ranks_match_closed_forms():
+    # d_n = det L and d_(n-1) = det L * lambda1(L*)**2 share no prune theory
+    # with the search; at n = 5 the rank-4 budget gamma_4**4 is on trial.
+    # The count sizes the sweep to a few seconds: the next case of this
+    # seed, 3Z + Z + 3Z + 3Z at l = 4 (lambda1**2 = 1), alone takes 14 s.
+    rng = random.Random(47)
+    compared = 0
+    for lat in _closed_form_cases(rng, 66):
+        n = lat.n
+        for l, form in ((n, top_rank_minimum), (n - 1, corank_one_minimum)):
+            if l <= 4:
+                assert minimal_sublattice(lat, l).value == form(lat), (lat.basis, l)
+                compared += 1
+    assert compared == 117
 
 
 def test_pools_freed_without_cyclic_gc():
