@@ -26,6 +26,7 @@ from .codes import (
     FAMILIES,
     code_document,
     code_from_document,
+    document_int,
     is_self_dual,
     reed_muller_table,
 )
@@ -83,9 +84,12 @@ def _resolve_target(args) -> tuple[object | None, IntegralLattice]:
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CliError(f"cannot parse spec file: {exc}", EXIT_BAD_INPUT)
+        if not isinstance(doc, dict):
+            raise CliError("spec must be a JSON object", EXIT_BAD_INPUT)
         if "rows" in doc:
             try:
-                lat = IntegralLattice.from_rows(doc["rows"])
+                rows = [[document_int(e, "row entry") for e in row] for row in doc["rows"]]
+                lat = IntegralLattice.from_rows(rows)
             except RankDeficient as exc:
                 raise CliError(
                     f"rank-deficient rows: rank {exc.rank} < {exc.needed}",
@@ -129,7 +133,6 @@ def _certificate_doc(cert: SearchCertificate, **after_value) -> dict:
         "witness_rows": [list(r) for r in cert.witness.rows],
         "per_vector_bound": cert.per_vector_bound,
         "candidates_examined": cert.candidates_examined,
-        "confirmed_by_escalation": cert.confirmed_by_escalation,
     }
 
 
@@ -199,7 +202,7 @@ def _cache_store(cache_dir, lattice, cert: SearchCertificate) -> None:
         raise
 
 
-def _searched(args, lattice, l, hint) -> tuple[SearchCertificate, bool]:
+def _searched(args, lattice, l) -> tuple[SearchCertificate, bool]:
     """(certificate, cached): from the cache, else from a search stored there."""
     if l > lattice.n:
         raise CliError(f"--l {l} exceeds the lattice dimension {lattice.n}", EXIT_BAD_INPUT)
@@ -207,19 +210,15 @@ def _searched(args, lattice, l, hint) -> tuple[SearchCertificate, bool]:
     cert = _cache_load(cache_dir, lattice, l)
     if cert is not None:
         return cert, True
-    cert = minimal_sublattice(lattice, l, upper_hint=hint, cap=args.max_candidates)
+    cert = minimal_sublattice(lattice, l, cap=args.max_candidates)
     _cache_store(cache_dir, lattice, cert)
     return cert, False
 
 
 def _searched_input(args) -> tuple[IntegralLattice, SearchCertificate, bool]:
-    """(lattice, certificate, cached) for the input at rank --l.
-
-    A code input gives the hint q**(2l): q*e_1, ..., q*e_l lie in its lattice.
-    """
-    code, lat = _resolve_target(args)
-    hint = code.q ** (2 * args.l) if code is not None else None
-    return (lat, *_searched(args, lat, args.l, hint))
+    """(lattice, certificate, cached) for the input at rank --l."""
+    _, lat = _resolve_target(args)
+    return (lat, *_searched(args, lat, args.l))
 
 
 # -- output -----------------------------------------------------------------
@@ -316,8 +315,8 @@ def _cmd_gamma_prime(args) -> int:
     if code is None:
         raise CliError("gamma-prime needs a code input, not raw rows", EXIT_BAD_INPUT)
 
-    def search(lattice, l, hint):
-        return _searched(args, lattice, l, hint)[0]
+    def search(lattice, l):
+        return _searched(args, lattice, l)[0]
 
     value = berge_martinet_invariant(code, args.l, search=search)
     doc = {

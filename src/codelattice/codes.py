@@ -357,15 +357,29 @@ def dump_code(code: LinearCode) -> str:
     return canonical_json(code_document(code))
 
 
+def document_int(value, name: str) -> int:
+    """value, if it is an integer of a JSON document; ValueError otherwise.
+
+    JSON numbers do not tell 3 from 3.0 (RFC 8259 section 6), and int()
+    would read 3.5 as 3 and true as 1, so only an int is accepted: not a
+    bool, a float or a string.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def code_from_document(doc: dict) -> LinearCode:
     if "family" in doc:
         family = doc["family"]
         if not isinstance(family, str) or family not in FAMILIES:
             raise ValueError(f"unknown family {family!r} (known: {tuple(FAMILIES)})")
         make, names = FAMILIES[family]
-        return make(*(int(doc[name]) for name in names))
+        return make(*(document_int(doc[name], name) for name in names))
     if "generators" in doc:
-        return LinearCode(int(doc["q"]), int(doc["n"]), doc["generators"])
+        q, n = document_int(doc["q"], "q"), document_int(doc["n"], "n")
+        rows = [[document_int(e, "generator entry") for e in g] for g in doc["generators"]]
+        return LinearCode(q, n, rows)
     raise ValueError("code document needs either 'family' or 'generators'")
 
 

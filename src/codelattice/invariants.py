@@ -109,19 +109,17 @@ def berge_martinet_invariant(code: LinearCode, l: int, search=None) -> Radical:
     is d_l of the dual-code lattice divided by q**(2l), which turns the
     invariant into (1/q**l) * sqrt(d_l(L_C) * d_l(L_{C dual})).  For a
     self-dual code the two lattices coincide, the primal certificate serves
-    both, and the radical is the rational d_l(L_C) / q**l.
+    both, and the radical is the rational d_l(L_C) / q**l.  search(lattice,
+    l) returns the SearchCertificate of one lattice; it defaults to
+    `minimal_sublattice`.
     """
     if search is None:
-        def search(lat, rank, hint):
-            return minimal_sublattice(lat, rank, upper_hint=hint)
-
-    q = code.q
-    hint = q ** (2 * l)
+        search = minimal_sublattice
     lattice = code.lattice()
-    primal = search(lattice, l, hint)
+    primal = search(lattice, l)
     dual_lattice = dual_code(code).lattice()
-    dual = primal if dual_lattice == lattice else search(dual_lattice, l, hint)
-    return Radical(Fraction(primal.value * dual.value, q ** (2 * l)), 2)
+    dual = primal if dual_lattice == lattice else search(dual_lattice, l)
+    return Radical(Fraction(primal.value * dual.value, code.q ** (2 * l)), 2)
 
 
 # -- interval grid ----------------------------------------------------------
@@ -215,14 +213,14 @@ def standard_seeds(n_max: int, cap: int = 10_000_000) -> list[BoundInterval]:
     caps every sublattice search made for these seeds.
     """
 
-    def search(lat, rank, hint):
-        return minimal_sublattice(lat, rank, upper_hint=hint, cap=cap)
+    def search(lat, rank):
+        return minimal_sublattice(lat, rank, cap=cap)
 
     seeds = known_fact_seeds(n_max)
     for n in range(3, min(n_max, 8) + 1):
         code = parity_check_code(n, 2)
         lat = construction_a(code)
-        cert = search(lat, 2, 16)
+        cert = search(lat, 2)
         gl = rankin_invariant(lat, cert)
         seeds.append(
             BoundInterval(

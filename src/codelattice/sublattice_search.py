@@ -34,14 +34,14 @@ leaf below the bound ends it, and a new walk starts at that leaf's
 determinant.
 
 The candidate pool grows from what has been proven, not from the upper
-bound u0 (the Gram determinant of the first l basis rows, or the hint if
-smaller).  Starting at the minimal norm r = lambda1**2, the search
-enumerates the pool of radius r, lowers the value by walking that pool,
-and stops once R(value) <= r; otherwise it sets r = min(R(value), 2r) and
-repeats.  Every value is the determinant of a sublattice or u0, so
-value >= d_l and the final pool holds every vector of norm <= R(d_l): the
-reported value is exact.  As the value only falls, r never exceeds R(u0),
-the radius a single pool sized from u0 would need.
+bound u0 (the Gram determinant of the first l basis rows).  Starting at
+the minimal norm r = lambda1**2, the search enumerates the pool of radius
+r, lowers the value by walking that pool, and stops once R(value) <= r;
+otherwise it sets r = min(R(value), 2r) and repeats.  Every value is the
+determinant of a sublattice or u0, so value >= d_l and the final pool
+holds every vector of norm <= R(d_l): the reported value is exact.  As the
+value only falls, r never exceeds R(u0), the radius a single pool sized
+from u0 would need.
 Pools within the radius `lattice_minimum` enumerated are prefixes of its
 list, so on most lattices only pools beyond it need a walk.
 
@@ -71,11 +71,11 @@ The witness is the first leaf at the value of the last walk, over a pool
 that holds every vector of norm <= bv: the index-first tuple, in the
 pool's (norm, coords) order, among the tuples within the budget
 gamma_l**l * value whose determinant is the value.  That depends only on
-the lattice and the proven value (never on hints), so hints and caching
-never change the returned value or witness, only the work performed.  A
-hint that no sublattice attains leaves the walk without a hit, which
-raises CertificateError.  The witness is re-checked against the value by
-an exact determinant; a mismatch raises CertificateError too.
+the lattice and the proven value, so caching never changes the returned
+value or witness.  u0 is the determinant of a sublattice, so a last walk
+without a hit is a defect and raises CertificateError.  The witness is
+re-checked against the value by an exact determinant; a mismatch raises
+CertificateError too.
 """
 
 from __future__ import annotations
@@ -109,7 +109,11 @@ class SearchCertificate:
     every leaf of the confirm scan (the full budget at the value); when the
     floor proves the value, the leaves evaluated before the walk stopped at
     its first hit, at most the confirm scan's count.
-    confirmed_by_escalation is always True: every returned value is proven.
+
+    The class constant confirmed_by_escalation is always True, as every
+    returned value is proven.  No certificate document carries it; it stays
+    only because the benchmark harness reads it, and a benchmark-only
+    change removes it together with the upper_hint keyword.
     """
 
     __slots__ = ("l", "value", "witness", "per_vector_bound", "candidates_examined")
@@ -124,10 +128,7 @@ class SearchCertificate:
         self.candidates_examined = examined
 
     def __repr__(self) -> str:
-        return (
-            f"SearchCertificate(l={self.l}, value={self.value}, "
-            f"confirmed={self.confirmed_by_escalation})"
-        )
+        return f"SearchCertificate(l={self.l}, value={self.value})"
 
 
 def _hermite_floor(lam: int, l: int) -> int:
@@ -291,10 +292,12 @@ def minimal_sublattice(
 ) -> SearchCertificate:
     """Exact minimal rank-l sublattice determinant with a certified witness.
 
-    upper_hint, when given, must be a valid upper bound on the answer (for
-    Construction A lattices q**(2l) always is); it can only shrink the
-    enumerations before the value is proven.  l is capped at 4, the range
-    where the norm-product budget gamma_l**l is valid.
+    l is capped at 4, the range where the norm-product budget gamma_l**l is
+    valid.  upper_hint, when given, must be a valid upper bound on the
+    answer; it changes neither the value nor the witness.  No caller in
+    this package passes it.  It stays only because the benchmark harness
+    (perfbench) passes q**(2l), and a benchmark-only change removes it
+    together with SearchCertificate.confirmed_by_escalation.
     """
     n = lattice.n
     if not 1 <= l <= min(4, n):

@@ -172,11 +172,11 @@ def _check_rank2_code_bound(ctx):
             continue
         total += 1
         bound = rank2_code_bound(_enumerable(code, ctx.cap))
-        cert = minimal_sublattice(code.lattice(), 2, upper_hint=code.q ** 4, cap=ctx.cap)
+        cert = minimal_sublattice(code.lattice(), 2, cap=ctx.cap)
         violations += cert.value > bound
     rm = reed_muller_code(1, 3)
     bound_rm = rank2_code_bound(rm)
-    d2_rm = minimal_sublattice(rm.lattice(), 2, upper_hint=16, cap=ctx.cap).value
+    d2_rm = minimal_sublattice(rm.lattice(), 2, cap=ctx.cap).value
     gamma_bound = Radical(min(Fraction(1), Fraction(bound_rm, 16)), 1) * Radical(
         Fraction(rm.cardinality), 1
     ) ** Fraction(4, 8)
@@ -194,7 +194,7 @@ def _check_even_lattice_rank2(ctx):
     claims = []
     for name, code in named:
         lat = code.lattice()
-        d2 = minimal_sublattice(lat, 2, upper_hint=16, cap=ctx.cap).value
+        d2 = minimal_sublattice(lat, 2, cap=ctx.cap).value
         even = is_even(lat) and d2 >= 3
         claims.append(("even d2>=3", "even d2>=3" if even else f"violation {name}"))
     zn = IntegralLattice.from_rows([[1 if j == i else 0 for j in range(4)] for i in range(4)])
@@ -238,12 +238,12 @@ def _check_parity_check_family(ctx):
     claims = []
     for n, fact_val in ((3, Radical(2, 3)), (4, Radical(2, 2)), (5, Radical(8, 5))):
         lat = parity_check_code(n, 2).lattice()
-        cert = minimal_sublattice(lat, 1, upper_hint=4, cap=ctx.cap)
+        cert = minimal_sublattice(lat, 1, cap=ctx.cap)
         claims.append((f"gamma({n},1)={fact_val}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
     for q in PRIMAL_Q:
         for n in PARITY_N:
             lat = parity_check_code(n, q).lattice()
-            cert = minimal_sublattice(lat, 2, upper_hint=q ** 4, cap=ctx.cap)
+            cert = minimal_sublattice(lat, 2, cap=ctx.cap)
             expected_gamma = Radical(Fraction(3 ** n, q ** 4), n)
             claims.append((f"d2(n={n},q={q})=3", f"d2(n={n},q={q})={cert.value}"))
             claims.append((f"g2={expected_gamma}", f"g2={rankin_invariant(lat, cert)}"))
@@ -319,14 +319,14 @@ def _check_rm_first_order(ctx):
     # Hermite values: sqrt(2) at m=2, then 2^(2(m+1)/2^m)
     for m, lat in lats.items():
         n = 1 << m
-        cert = minimal_sublattice(lat, 1, upper_hint=4, cap=ctx.cap)
+        cert = minimal_sublattice(lat, 1, cap=ctx.cap)
         expect = Radical(2, 2) if m == 2 else Radical(2) ** Fraction(2 * (m + 1), n)
         claims.append((f"gamma({n},1)={expect}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
     # rank-2 subratio 3 at m=3; the Rankin invariant itself is 3 there
     lat3, prime3 = lats[3], _first_order_allones_rows(3)
     sub = sublattice_from_rows(lat3, [prime3[1], prime3[2]])
     claims.append(("ratio(8,2)=3", f"ratio(8,2)={gamma_ratio(lat3, sub)}"))
-    cert2 = minimal_sublattice(lat3, 2, upper_hint=16, cap=ctx.cap)
+    cert2 = minimal_sublattice(lat3, 2, cap=ctx.cap)
     claims.append(("gamma(8,2)=3", f"gamma(8,2)={rankin_invariant(lat3, cert2)}"))
     # m=4, l=2: the q-hypercube plane beats the generator-row planes
     lat4, prime4 = lats[4], _first_order_allones_rows(4)
@@ -385,7 +385,7 @@ def _check_rm_last_order(ctx):
         lat = reed_muller_code(m - 1, m).lattice()
         same = lat == parity_check_code(n, 2).lattice()
         claims.append((f"m={m} same lattice", f"m={m} same lattice" if same else f"m={m} differ"))
-        cert1 = minimal_sublattice(lat, 1, upper_hint=4, cap=ctx.cap)
+        cert1 = minimal_sublattice(lat, 1, cap=ctx.cap)
         expect1 = Radical(Fraction(2 ** n, 4), n)  # 2 / 2^(2/n)
         claims.append((f"gamma({n},1)={expect1}", f"gamma({n},1)={rankin_invariant(lat, cert1)}"))
         prime = _first_order_allones_rows(m)
@@ -398,7 +398,7 @@ def _check_rm_last_order(ctx):
             claims.append((f"ratio({n},3)={expect3}", f"ratio({n},3)={gamma_ratio(lat, sub3)}"))
     # at m=2 the rank-2 upper bound from the subratio is attained: 3/2
     lat4 = parity_check_code(4, 2).lattice()
-    cert = minimal_sublattice(lat4, 2, upper_hint=16, cap=ctx.cap)
+    cert = minimal_sublattice(lat4, 2, cap=ctx.cap)
     claims.append(("gamma(4,2)=3/2", f"gamma(4,2)={rankin_invariant(lat4, cert)}"))
     return claims
 
@@ -406,8 +406,8 @@ def _check_rm_last_order(ctx):
 def _check_dual_parity_check(ctx):
     """Dual of the single parity check code: minima, d2 formula, invariants."""
 
-    def search(lattice, l, hint):
-        return minimal_sublattice(lattice, l, upper_hint=hint, cap=ctx.cap)
+    def search(lattice, l):
+        return minimal_sublattice(lattice, l, cap=ctx.cap)
 
     # one code object per (n, q), so that its lattice and dual are built once
     code = functools.cache(parity_check_code)
@@ -432,7 +432,7 @@ def _check_dual_parity_check(ctx):
     for q in DUAL_Q:
         for n in PARITY_N:
             dual_lat = dual_code(code(n, q)).lattice()
-            cert = minimal_sublattice(dual_lat, 2, upper_hint=q ** 4, cap=ctx.cap)
+            cert = minimal_sublattice(dual_lat, 2, cap=ctx.cap)
             expect_d2 = min(q ** 4, q * q * (n - 1))
             claims.append((f"d2*(n={n},q={q})={expect_d2}", f"d2*(n={n},q={q})={cert.value}"))
             expect2 = Radical(Fraction(3 * min(q * q, n - 1), q * q), 2)
@@ -473,7 +473,7 @@ def _check_cardinality_bound_tightness(ctx):
     """gamma_{n,l}(L_C) <= |C|^(2l/n), attained by R(1,3) at l = 1."""
     rm = reed_muller_code(1, 3)
     lat = rm.lattice()
-    g81 = rankin_invariant(lat, minimal_sublattice(lat, 1, upper_hint=4, cap=ctx.cap))
+    g81 = rankin_invariant(lat, minimal_sublattice(lat, 1, cap=ctx.cap))
     bound = Radical(Fraction(rm.cardinality)) ** Fraction(2, 8)
     violations = 0
     for code in ctx.family:
@@ -481,7 +481,7 @@ def _check_cardinality_bound_tightness(ctx):
         for l in (1, 2):
             if l > clat.n:
                 continue
-            c = minimal_sublattice(clat, l, upper_hint=code.q ** (2 * l), cap=ctx.cap)
+            c = minimal_sublattice(clat, l, cap=ctx.cap)
             card = Radical(Fraction(code.cardinality))
             violations += rankin_invariant(clat, c) > card ** Fraction(2 * l, code.n)
     holds = "bound holds on corpus"

@@ -32,8 +32,11 @@ def test_dl_family(cache, capsys):
     doc = json.loads(out)
     assert doc["value"] == 3
     assert doc["value_exact"] == {"num": 3, "den": 1, "root": 1, "decimal": "3.00000"}
-    assert doc["confirmed_by_escalation"] is True
     assert doc["cached"] is False
+    assert set(doc) == {
+        "l", "value", "value_exact", "witness_rows", "per_vector_bound",
+        "candidates_examined", "cached",
+    }
 
 
 def test_cache_round_trip(cache, capsys):
@@ -46,6 +49,19 @@ def test_cache_round_trip(cache, capsys):
     assert warm["cached"] is True
     for key in ("value", "witness_rows", "per_vector_bound", "candidates_examined"):
         assert warm[key] == cold[key]
+
+
+def test_entry_with_escalation_field_is_served(cache, capsys):
+    # entries written before the field left the document still load
+    argv = ["dl", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "2", "--format", "json"]
+    _, cold_out, _ = _run(capsys, argv)
+    [entry] = cache.rglob("*.json")
+    stored = json.loads(entry.read_text())
+    assert "confirmed_by_escalation" not in stored
+    entry.write_text(json.dumps(dict(stored, confirmed_by_escalation=True)))
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == dict(json.loads(cold_out), cached=True)
 
 
 def test_corrupt_cache_ignored(cache, capsys):
@@ -146,11 +162,29 @@ def test_rank_deficient_spec_exits_2(cache, capsys, tmp_path):
     assert "rank" in err
 
 
-def test_unparseable_spec_exits_2(cache, capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("not json", id="not-json"),
+        # not a JSON object
+        pytest.param("null", id="null"),
+        pytest.param("3", id="number"),
+        pytest.param("true", id="bool"),
+        pytest.param("[]", id="list"),
+        # non-integer numbers, which int() would truncate
+        pytest.param('{"rows": [[1.5, 0], [0, 1]]}', id="float-row-entry"),
+        pytest.param('{"q": 3.5, "n": 4, "generators": [[1, 1, 1, 1]]}', id="float-q"),
+        pytest.param('{"q": 2, "n": 4, "generators": [[1.9, 1, 1, 1]]}', id="float-generator"),
+        pytest.param('{"q": 2, "n": 4, "generators": [[true, 1, 1, 1]]}', id="bool-generator"),
+        pytest.param('{"family": "parity_check", "n": 4.7, "q": 2}', id="float-family-n"),
+    ],
+)
+def test_unparseable_spec_exits_2(cache, capsys, tmp_path, text):
     spec = tmp_path / "junk.json"
-    spec.write_text("not json")
+    spec.write_text(text)
     code, _, err = _run(capsys, ["build", "--spec", str(spec)])
     assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cap_exceeded_exits_3(cache, capsys):
