@@ -17,7 +17,6 @@ from .codes import (
     zero_code,
     weight_report,
     dual_code,
-    dual_code_lattice,
     same_row_space,
     is_self_dual,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "zero_code",
     "weight_report",
     "dual_code",
-    "dual_code_lattice",
     "same_row_space",
     "is_self_dual",
     "IntegralLattice",

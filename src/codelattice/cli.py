@@ -43,9 +43,13 @@ from .lattices import (
     RankDeficient,
     canonical_json,
     lattice_document,
-    sublattice_from_rows,
 )
-from .sublattice_search import SEARCH_VERSION, SearchCertificate, minimal_sublattice
+from .sublattice_search import (
+    SEARCH_VERSION,
+    SearchCertificate,
+    check_certificate,
+    minimal_sublattice,
+)
 
 # Imported here, not on first use: perfbench reads `codelattice.verify.CHECKS`
 # as an attribute of the package after importing cli.
@@ -137,19 +141,17 @@ def _certificate_doc(cert: SearchCertificate, **after_value) -> dict:
 
 
 def _certificate_from_doc(doc: dict, lattice: IntegralLattice, l: int) -> SearchCertificate:
-    """Inverse of `_certificate_doc`; the witness must be a rank-l sublattice
-    of `lattice` whose determinant is the stored value."""
-    rows = [list(map(int, r)) for r in doc["witness_rows"]]
-    value = int(doc["value"])
-    witness = sublattice_from_rows(lattice, rows)  # re-validates membership
-    if witness.det_l != value or int(doc["l"]) != l:
-        raise ValueError("certificate does not match its lattice")
-    return SearchCertificate(
+    """Inverse of `_certificate_doc`: integer fields only, for rank l, and a
+    witness that `check_certificate` accepts for `lattice`."""
+    if document_int(doc["l"], "l") != l:
+        raise ValueError(f"certificate is for rank {doc['l']}, not {l}")
+    return check_certificate(
+        lattice,
         l,
-        value,
-        witness,
-        int(doc["per_vector_bound"]),
-        int(doc["candidates_examined"]),
+        document_int(doc["value"], "value"),
+        [[document_int(e, "witness entry") for e in r] for r in doc["witness_rows"]],
+        document_int(doc["per_vector_bound"], "per_vector_bound"),
+        document_int(doc["candidates_examined"], "candidates_examined"),
     )
 
 

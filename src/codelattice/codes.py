@@ -10,7 +10,7 @@ closure of the generators.
 from __future__ import annotations
 
 import json
-from math import comb
+from math import comb, isqrt
 
 from .enumeration import CertificateError
 from .lattices import (
@@ -36,7 +36,6 @@ __all__ = [
     "zero_code",
     "weight_report",
     "dual_code",
-    "dual_code_lattice",
     "same_row_space",
     "is_self_dual",
     "minimal_lift",
@@ -95,11 +94,8 @@ class LinearCode:
 
     @property
     def cardinality(self) -> int:
-        basis = self.lattice().basis
-        d = 1
-        for i in range(self.n):
-            d *= basis[i][i]
-        return self.q ** self.n // d
+        """q**n / det(L_C), where det_gram = det(L_C)**2."""
+        return self.q ** self.n // isqrt(self.lattice().det_gram)
 
     def codewords(self):
         """All codewords (additive closure of the generators), as tuples.
@@ -305,11 +301,10 @@ def reed_muller_table(m_max: int) -> list[tuple[int, int, int, int, int]]:
 def dual_code(code: LinearCode) -> LinearCode:
     """Dual code, computed through the lattice route and cached on `code`.
 
-    q times the dual basis of the Construction A lattice is an integral
-    matrix spanning the lattice of the dual code; reducing its HNF rows
-    mod q yields generators of the dual code.  The dual's own lattice is
-    built from those generators, not taken from this HNF, so that checks
-    comparing the two routes stay independent.
+    The HNF h of q times the dual basis of L_C spans q L_C* = L_{C dual}, so
+    h is the dual code's lattice and its rows mod q generate the dual code.
+    d_l of L_C* is d_l of that lattice divided by q**(2l).  `verify`
+    compares h with Construction A of the dual code's generators.
     """
     if code._dual is None:
         q, n = code.q, code.n
@@ -317,17 +312,8 @@ def dual_code(code: LinearCode) -> LinearCode:
         if rank != n:
             raise CertificateError(f"dual basis has rank {rank}, not {n}")
         code._dual = LinearCode(q, n, [[e % q for e in row] for row in h])
+        code._dual._lattice = IntegralLattice(h)
     return code._dual
-
-
-def dual_code_lattice(code: LinearCode) -> IntegralLattice:
-    """Construction A lattice of the dual code (an integral lattice).
-
-    Minimal sublattice determinants of the (rational) dual lattice follow
-    by exact rescaling: d_l of the dual lattice equals d_l of this lattice
-    divided by q**(2l).
-    """
-    return dual_code(code).lattice()
 
 
 def same_row_space(a: LinearCode, b: LinearCode) -> bool:
@@ -375,7 +361,14 @@ def code_from_document(doc: dict) -> LinearCode:
         if not isinstance(family, str) or family not in FAMILIES:
             raise ValueError(f"unknown family {family!r} (known: {tuple(FAMILIES)})")
         make, names = FAMILIES[family]
-        return make(*(document_int(doc[name], name) for name in names))
+        extra = sorted(set(doc) - {"family", "q", "n", *names})
+        if extra:
+            raise ValueError(f"family {family!r} takes no key {extra[0]!r}")
+        code = make(*(document_int(doc[name], name) for name in names))
+        for key in ("q", "n"):  # code_document writes both for every family
+            if key in doc and document_int(doc[key], key) != getattr(code, key):
+                raise ValueError(f"{key} = {doc[key]} contradicts the {family} code")
+        return code
     if "generators" in doc:
         q, n = document_int(doc["q"], "q"), document_int(doc["n"], "n")
         rows = [[document_int(e, "generator entry") for e in g] for g in doc["generators"]]

@@ -47,7 +47,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .exact import integer_root
-from .lattices import IntegralLattice
+from .lattices import IntegralLattice, leading_minors
 
 __all__ = [
     "CertificateError",
@@ -106,27 +106,12 @@ class ShortVectorList(NamedTuple):
 
 
 def _integer_form(gram) -> tuple[list[int], list[list[int]]]:
-    """(D, a): leading minors D_0..D_n and Bareiss-eliminated rows a_ij.
-
-    a[i][i] == D[i+1] and a[i][j] for j > i are the integer coefficients of
-    the form in the module docstring.  Raises NotPositiveDefinite unless
-    every leading minor is positive (Sylvester's criterion).
-    """
-    n = len(gram)
-    a = [list(map(int, row)) for row in gram]
-    dets = [1]
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            raise NotPositiveDefinite("Gram matrix is not positive definite")
-        prev = dets[k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            f = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-        dets.append(pivot)
+    """`leading_minors` of the Gram matrix: D_0..D_n and the a_ij of the
+    form in the module docstring.  Raises NotPositiveDefinite unless every
+    leading minor is positive (Sylvester's criterion)."""
+    dets, a = leading_minors(gram)
+    if dets[-1] <= 0:
+        raise NotPositiveDefinite("Gram matrix is not positive definite")
     return dets, a
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt, lcm
 
-__all__ = ["Radical", "compare", "integer_root", "exact_root"]
+__all__ = ["Radical", "compare", "integer_root", "exact_root", "positional"]
 
 
 def integer_root(n: int, k: int) -> int:
@@ -57,6 +57,17 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def positional(m: int, t: int, digits: int) -> str:
+    """The decimal string of m * 10**(t - digits), where m has `digits`
+    digits: t of them before the decimal point (none if t <= 0)."""
+    digs = str(m)
+    if t >= digits:
+        return digs + "0" * (t - digits)
+    if t >= 1:
+        return digs[:t] + "." + digs[t:]
+    return "0." + "0" * (-t) + digs
 
 
 class Radical:
@@ -235,12 +246,7 @@ class Radical:
         if m >= 10 ** digits:
             m //= 10
             t += 1
-        digs = str(m)
-        if t >= digits:
-            return digs + "0" * (t - digits)
-        if t >= 1:
-            return digs[:t] + "." + digs[t:]
-        return "0." + "0" * (-t) + digs
+        return positional(m, t, digits)
 
     # -- display -----------------------------------------------------
 

@@ -9,12 +9,13 @@ catalog, states each rule, and assigns the rules to the two profiles.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
 from .codes import LinearCode, dual_code, parity_check_code
-from .exact import Radical
-from .lattices import IntegralLattice, construction_a
+from .exact import Radical, positional
+from .lattices import IntegralLattice, gamma_ratio
 from .sublattice_search import SearchCertificate, minimal_sublattice
 
 __all__ = [
@@ -92,14 +93,11 @@ def known_fact(kind: str, n: int, l: int) -> KnownFact | None:
 
 
 def rankin_invariant(lattice: IntegralLattice, cert: SearchCertificate) -> Radical:
-    """d_l(L) / det(L)**(l/n) from a search certificate for L."""
-    w = cert.witness
-    if w.ambient is not lattice and w.ambient != lattice:
-        raise ValueError("certificate does not belong to this lattice")
-    if w.det_l != cert.value:
+    """d_l(L) / det(L)**(l/n) from a search certificate for L: the
+    `gamma_ratio` of its witness, which must have the certified value."""
+    if cert.witness.det_l != cert.value:
         raise ValueError("certificate witness does not match its value")
-    n, l = lattice.n, cert.l
-    return Radical(Fraction(cert.value ** n, lattice.det_gram ** l), n)
+    return gamma_ratio(lattice, cert.witness)
 
 
 def berge_martinet_invariant(code: LinearCode, l: int, search=None) -> Radical:
@@ -213,13 +211,14 @@ def standard_seeds(n_max: int, cap: int = 10_000_000) -> list[BoundInterval]:
     caps every sublattice search made for these seeds.
     """
 
+    @functools.cache  # berge_martinet_invariant searches code.lattice() again
     def search(lat, rank):
         return minimal_sublattice(lat, rank, cap=cap)
 
     seeds = known_fact_seeds(n_max)
     for n in range(3, min(n_max, 8) + 1):
         code = parity_check_code(n, 2)
-        lat = construction_a(code)
+        lat = code.lattice()
         cert = search(lat, 2)
         gl = rankin_invariant(lat, cert)
         seeds.append(
@@ -469,13 +468,7 @@ def _round_sig(x, digits: int, direction: int) -> str:
             exp10 += 1
         else:
             break
-    t = exp10 + 1  # digits before the decimal point
-    digs = str(m)
-    if t >= digits:
-        return digs + "0" * (t - digits)
-    if t >= 1:
-        return digs[:t] + "." + digs[t:]
-    return "0." + "0" * (-t) + digs
+    return positional(m, exp10 + 1, digits)
 
 
 def asymptotic_bounds(k: int, digits: int = 6) -> AsymptoticBounds:

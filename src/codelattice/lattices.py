@@ -21,6 +21,7 @@ __all__ = [
     "NotInLattice",
     "xgcd",
     "gram_matrix",
+    "leading_minors",
     "det_int",
     "hnf",
     "dual_basis",
@@ -68,29 +69,35 @@ def gram_matrix(rows) -> list[list[int]]:
     return [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
 
 
-def det_int(m) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+def leading_minors(gram) -> tuple[list[int], list[list[int]]]:
+    """(D, a): leading minors D_0 = 1, D_1, ... and the rows a of a
+    fraction-free (Bareiss) elimination without row swaps, with
+    a[k][k] == D[k+1]; entries below the diagonal are left as they were.
+    The elimination stops at the first minor that is not positive, D's last."""
+    n = len(gram)
+    a = [list(map(int, row)) for row in gram]
+    dets = [1]
+    for k in range(n):
+        pivot = a[k][k]
+        dets.append(pivot)
+        if pivot <= 0:
+            break
+        prev = dets[k]
+        row_k = a[k]
         for i in range(k + 1, n):
+            row_i = a[i]
+            f = row_i[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+                row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
+    return dets, a
+
+
+def det_int(gram) -> int:
+    """Exact determinant of an integer Gram matrix, and of no other matrix:
+    the last leading minor.  A positive semidefinite matrix has no negative
+    minor, and a zero leading minor makes it singular, so an elimination
+    that stops early stops at 0, its determinant."""
+    return leading_minors(gram)[0][-1]
 
 
 def hnf(rows) -> tuple[list[list[int]], int]:

@@ -74,8 +74,8 @@ gamma_l**l * value whose determinant is the value.  That depends only on
 the lattice and the proven value, so caching never changes the returned
 value or witness.  u0 is the determinant of a sublattice, so a last walk
 without a hit is a defect and raises CertificateError.  The witness is
-re-checked against the value by an exact determinant; a mismatch raises
-CertificateError too.
+re-checked by `check_certificate`, as every cached certificate is; a
+mismatch raises CertificateError too.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ from .lattices import (
     sublattice_from_rows,
 )
 
-__all__ = ["SearchCertificate", "minimal_sublattice", "rank2_code_bound"]
+__all__ = ["SearchCertificate", "check_certificate", "minimal_sublattice", "rank2_code_bound"]
 
 # Bumped whenever the search changes what a certificate reports; part of the
 # CLI cache key, so entries of an older search are recomputed, not served.
@@ -326,12 +326,25 @@ def minimal_sublattice(
             f"no rank-{l} sublattice of determinant {value} within the budget "
             "(is upper_hint below the minimum?)"
         )
-    witness = sublattice_from_rows(lattice, scan.key)
+    return check_certificate(lattice, l, value, scan.key, bv, scan.leaves)
+
+
+def check_certificate(
+    lattice: IntegralLattice, l: int, value: int, rows, per_vector_bound: int, examined: int
+) -> SearchCertificate:
+    """The certificate the search and the cache loader return, once `rows`
+    are proven to be l members of `lattice` spanning a sublattice of Gram
+    determinant `value` (else CertificateError, NotInLattice or
+    RankDeficient).  That proves value >= d_l, not value == d_l; the other
+    two fields are stored as given."""
+    if len(rows) != l:
+        raise CertificateError(f"witness has {len(rows)} rows, not {l}")
+    witness = sublattice_from_rows(lattice, rows)
     if witness.det_l != value:
         raise CertificateError(
             f"witness determinant {witness.det_l} differs from the value {value}"
         )
-    return SearchCertificate(l, value, witness, bv, scan.leaves)
+    return SearchCertificate(l, value, witness, per_vector_bound, examined)
 
 
 def rank2_code_bound(code) -> int:

@@ -64,6 +64,31 @@ def test_entry_with_escalation_field_is_served(cache, capsys):
     assert json.loads(out) == dict(json.loads(cold_out), cached=True)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        # three rows of D4 whose Gram determinant is the stored value
+        pytest.param(
+            {"witness_rows": [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], "value": 4},
+            id="three-rows",
+        ),
+        pytest.param({"per_vector_bound": True}, id="bool-bound"),
+        pytest.param({"candidates_examined": 11.9}, id="float-count"),
+        pytest.param({"value": 3.0}, id="float-value"),
+    ],
+)
+def test_entry_of_the_wrong_shape_is_recomputed(cache, capsys, edit):
+    argv = ["dl", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "2", "--format", "json"]
+    _, cold_out, _ = _run(capsys, argv)
+    [entry] = cache.rglob("*.json")
+    entry.write_text(json.dumps(dict(json.loads(entry.read_text()), **edit)))
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert "warning: ignoring corrupt cache entry" in err
+    assert json.loads(out)["cached"] is False
+    assert out == cold_out
+
+
 def test_corrupt_cache_ignored(cache, capsys):
     argv = ["dl", "--family", "parity_check", "--n", "3", "--q", "2", "--l", "1", "--format", "json"]
     _run(capsys, argv)
@@ -132,8 +157,8 @@ def test_warm_gamma_prime_computes_the_dual_once(cache, capsys, monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     assert main(argv) == 0
-    # the code's lattice, the dual's HNF and the dual's lattice
-    assert counts == {"hnf": 3, "dual_basis": 1}
+    # the code's lattice and the dual's HNF, which is the dual's lattice
+    assert counts == {"hnf": 2, "dual_basis": 1}
 
 
 def test_gamma_prime(cache, capsys):
@@ -177,6 +202,9 @@ def test_rank_deficient_spec_exits_2(cache, capsys, tmp_path):
         pytest.param('{"q": 2, "n": 4, "generators": [[1.9, 1, 1, 1]]}', id="float-generator"),
         pytest.param('{"q": 2, "n": 4, "generators": [[true, 1, 1, 1]]}', id="bool-generator"),
         pytest.param('{"family": "parity_check", "n": 4.7, "q": 2}', id="float-family-n"),
+        # a key the family does not take, or a q or n that contradicts it
+        pytest.param('{"family": "reed_muller", "r": 1, "m": 3, "q": 5, "n": 3}', id="family-q-n"),
+        pytest.param('{"family": "parity_check", "n": 4, "q": 2, "r": 1}', id="family-extra-key"),
     ],
 )
 def test_unparseable_spec_exits_2(cache, capsys, tmp_path, text):
@@ -255,6 +283,17 @@ def test_missing_family_parameters(cache, capsys):
     code, _, err = _run(capsys, ["dl", "--family", "reed_muller", "--l", "1"])
     assert code == 2
     assert "family" in err or "parameters" in err
+
+
+def test_family_flag_it_does_not_take_exits_2(cache, capsys):
+    # RM(1,3) has n = 8: --n 5 contradicts it, and parity_check takes no --r
+    for argv in (
+        ["dl", "--family", "reed_muller", "--r", "1", "--m", "3", "--n", "5", "--l", "1"],
+        ["dl", "--family", "parity_check", "--n", "4", "--q", "2", "--r", "1", "--l", "1"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad family parameters") and "Traceback" not in err
 
 
 def test_gamma_on_raw_rows(cache, capsys, tmp_path):

@@ -179,16 +179,29 @@ def test_document_round_trip(tmp_path):
 
 
 def test_dual_code_lattice():
-    from codelattice.codes import dual_code_lattice
-
     # repetition dual: |C_dual| = q, so det = (q^n / q)^2
     for n, q in ((3, 2), (4, 3), (5, 2)):
-        lat = dual_code_lattice(parity_check_code(n, q))
+        lat = dual_code(parity_check_code(n, q)).lattice()
         assert lat.det_gram == q ** (2 * (n - 1))
     eh = extended_hamming_code()
-    assert dual_code_lattice(eh) == construction_a(eh)
+    assert dual_code(eh).lattice() == construction_a(eh)
     # dual of the full code is q Z^n; the dual of Z^n is Z^n itself
-    assert dual_code_lattice(full_code(3, 4)).det_gram == 4 ** 6
+    assert dual_code(full_code(3, 4)).lattice().det_gram == 4 ** 6
+
+
+def test_dual_lattice_is_construction_a_of_the_dual():
+    # dual_code keeps the HNF of q times the dual basis as the dual's
+    # lattice: it must be the lattice Construction A builds from the dual
+    # code's generators, with |C| |C_dual| = q^n
+    from codelattice.verify import _family_corpus
+
+    rng = random.Random(26)
+    codes = _family_corpus() + [zero_code(3, 4), zero_code(2, 6)]
+    codes += [_random_code(rng, n_max=5, q_choices=(2, 3, 4, 6)) for _ in range(40)]
+    for code in codes:
+        dual = dual_code(code)
+        assert dual.lattice() == construction_a(dual), (code.q, code.generators)
+        assert code.cardinality * dual.cardinality == code.q ** code.n
 
 
 def test_document_errors():
@@ -204,6 +217,16 @@ def test_document_errors():
         code_from_document({"family": "reed_muller"})
     with pytest.raises(KeyError, match="'q'"):
         code_from_document({"family": "parity_check", "n": 3})
+    # a family takes its parameters, plus q and n if they match the code
+    assert code_from_document({"family": "reed_muller", "r": 1, "m": 3, "q": 2, "n": 8}).n == 8
+    for doc in (
+        {"family": "reed_muller", "r": 1, "m": 3, "q": 5, "n": 3},
+        {"family": "reed_muller", "r": 1, "m": 3, "n": 5},
+        {"family": "extended_hamming", "q": 3},
+        {"family": "parity_check", "n": 4, "q": 2, "m": 3},
+    ):
+        with pytest.raises(ValueError):
+            code_from_document(doc)
 
 
 def test_family_table_dispatch():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -177,17 +178,60 @@ def test_bad_bound():
 def test_cholesky_rejects_indefinite():
     from codelattice.enumeration import _integer_form
 
-    for gram in ([[1, 2], [2, 1]], [[1, 1], [1, 1]], [[0]], [[2, 0, 0], [0, -1, 0], [0, 0, 1]]):
+    singular = ([[1, 1], [1, 1]], [[0]], [[2, 2, 0], [2, 2, 0], [0, 0, 1]], [[1, 0], [0, 0]])
+    for gram in ([[1, 2], [2, 1]], [[2, 0, 0], [0, -1, 0], [0, 0, 1]], *singular):
         with pytest.raises(NotPositiveDefinite):
             _integer_form(gram)
 
 
+def _fraction_det(m):
+    """Determinant by Gaussian elimination over the rationals, with row swaps."""
+    a = [[Fraction(e) for e in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_det_int_matches_fraction_elimination(seed):
+    # Gram matrices of k random rows in dimension m: singular whenever the
+    # rows are dependent (always when k > m), and then det_int is 0 and
+    # _integer_form refuses the matrix
+    from codelattice.enumeration import _integer_form
+    from codelattice.lattices import det_int, gram_matrix
+
+    rng = random.Random(900 + seed)
+    singular = 0
+    for _ in range(40):
+        m, k = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
+        if rng.random() < 0.3:
+            rows.append([a - b for a, b in zip(rows[0], rows[-1])])
+        gram = gram_matrix(rows)
+        det = det_int(gram)
+        assert det == _fraction_det(gram), rows
+        if det == 0:
+            singular += 1
+            with pytest.raises(NotPositiveDefinite):
+                _integer_form(gram)
+        else:
+            assert _integer_form(gram)[0][-1] == det
+    assert singular >= 5
+
+
 def test_integer_form_minors_and_norms():
     # D_k are the leading minors, and the form reproduces x^T G x exactly.
-    from fractions import Fraction
-
     from codelattice.enumeration import _integer_form
-    from codelattice.lattices import det_int
 
     rng = random.Random(34)
     for _ in range(20):
@@ -195,7 +239,7 @@ def test_integer_form_minors_and_norms():
         gram = lat.gram
         n = lat.n
         dets, a = _integer_form(gram)
-        assert dets == [det_int([row[:k] for row in gram[:k]]) for k in range(n + 1)]
+        assert dets == [_fraction_det([row[:k] for row in gram[:k]]) for k in range(n + 1)]
         for _ in range(5):
             x = [rng.randint(-3, 3) for _ in range(n)]
             form = sum(

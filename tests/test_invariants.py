@@ -115,6 +115,22 @@ def test_self_dual_paths_agree():
     assert berge_martinet_invariant(code, 1) == _two_search_berge_martinet(code, 1)
 
 
+def test_standard_seeds_search_each_lattice_once(monkeypatch):
+    # per n, the primal lattice once (its Rankin and Berge-Martinet seeds
+    # share the search) and the dual lattice once
+    import codelattice.invariants as invariants
+
+    searched = []
+
+    def counted(lattice, l, **kwargs):
+        searched.append((lattice.basis, l))
+        return minimal_sublattice(lattice, l, **kwargs)
+
+    monkeypatch.setattr(invariants, "minimal_sublattice", counted)
+    standard_seeds(8)
+    assert len(searched) == 12 == len(set(searched))
+
+
 def test_rankin_certificate_validation():
     lat = construction_a(parity_check_code(4, 2))
     other = construction_a(parity_check_code(5, 2))
