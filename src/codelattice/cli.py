@@ -6,8 +6,9 @@ Code inputs come either from a JSON spec file (--spec) or a named family
 (num/den/root) next to a decimal rendering.  Sublattice search results are
 cached on disk keyed by the canonical HNF basis and rank.
 
-Exit codes: 0 success, 1 verify failures, 2 unusable input (parse error or
-rank deficiency), 3 infeasible search (enumeration cap exceeded).
+Exit codes: 0 success, 1 verify failures, 2 unusable input (parse error, a
+spec document `codes.read_spec` rejects, or an out-of-range argument), 3
+infeasible search (enumeration cap exceeded).
 """
 
 from __future__ import annotations
@@ -24,13 +25,14 @@ import tempfile
 from . import __version__
 from .codes import (
     FAMILIES,
+    FAMILY_KEYS,
     code_document,
-    code_from_document,
     document_int,
     is_self_dual,
+    read_spec,
     reed_muller_table,
 )
-from .enumeration import EnumerationCap
+from .enumeration import DEFAULT_CAP, EnumerationCap
 from .exact import Radical
 from .invariants import (
     berge_martinet_invariant,
@@ -38,12 +40,7 @@ from .invariants import (
     rankin_invariant,
     standard_seeds,
 )
-from .lattices import (
-    IntegralLattice,
-    RankDeficient,
-    canonical_json,
-    lattice_document,
-)
+from .lattices import IntegralLattice, canonical_json, lattice_document
 from .sublattice_search import (
     SEARCH_VERSION,
     SearchCertificate,
@@ -83,43 +80,27 @@ def _radical_doc(value: Radical, precision: int) -> dict:
 def _resolve_target(args) -> tuple[object | None, IntegralLattice]:
     """(code or None, lattice) from --spec or --family arguments."""
     if args.spec:
+        # ValueError includes bad UTF-8 and over-long integers, RecursionError deep nesting
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise CliError(f"cannot parse spec file: {exc}", EXIT_BAD_INPUT)
-        if not isinstance(doc, dict):
-            raise CliError("spec must be a JSON object", EXIT_BAD_INPUT)
-        if "rows" in doc:
-            try:
-                rows = [[document_int(e, "row entry") for e in row] for row in doc["rows"]]
-                lat = IntegralLattice.from_rows(rows)
-            except RankDeficient as exc:
-                raise CliError(
-                    f"rank-deficient rows: rank {exc.rank} < {exc.needed}",
-                    EXIT_BAD_INPUT,
-                )
-            except (TypeError, ValueError) as exc:
-                raise CliError(f"bad rows document: {exc}", EXIT_BAD_INPUT)
-            return None, lat
-        try:
-            code = code_from_document(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"bad code document: {exc}", EXIT_BAD_INPUT)
+        what, missing = "bad spec document", "key {!r} is required"
     elif args.family:
         doc = {"family": args.family}
-        for key in ("n", "q", "r", "m"):
+        for key in FAMILY_KEYS:
             if getattr(args, key) is not None:
                 doc[key] = getattr(args, key)
-        try:
-            code = code_from_document(doc)
-        except KeyError as exc:
-            raise CliError(f"bad family parameters: --{exc.args[0]} is required", EXIT_BAD_INPUT)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"bad family parameters: {exc}", EXIT_BAD_INPUT)
+        what, missing = "bad family parameters", "--{} is required"
     else:
         raise CliError("need --spec or --family", EXIT_BAD_INPUT)
-    return code, code.lattice()
+    try:
+        return read_spec(doc)
+    except KeyError as exc:
+        raise CliError(f"{what}: {missing.format(exc.args[0])}", EXIT_BAD_INPUT)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{what}: {exc}", EXIT_BAD_INPUT)
 
 
 # -- certificate cache ------------------------------------------------------
@@ -412,12 +393,12 @@ _COMMON = (
     ("--format", dict(choices=("text", "json", "csv"), default="text")),
     ("--precision", dict(type=_int_in(1), default=6, help="decimal display digits (>= 1)")),
     ("--cache", dict(help="certificate cache directory")),
-    ("--max-candidates", dict(type=_int_in(1), default=10_000_000, help="enumeration cap (>= 1)")),
+    ("--max-candidates", dict(type=_int_in(1), default=DEFAULT_CAP, help="enumeration cap (>= 1)")),
 )
 _CODE_INPUT = (
     ("--spec", dict(help="JSON code document or {'rows': ...}")),
     ("--family", dict(choices=FAMILIES)),
-    *((f"--{key}", dict(type=int)) for key in ("n", "q", "r", "m")),
+    *((f"--{key}", dict(type=int)) for key in FAMILY_KEYS),
 )
 _SEARCH = _CODE_INPUT + (
     ("--l", dict(type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")),
@@ -472,9 +453,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except RankDeficient as exc:
-        print(f"error: rank-deficient input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except EnumerationCap as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -9,13 +9,12 @@ closure of the generators.
 
 from __future__ import annotations
 
-import json
 from math import comb, isqrt
+from operator import index
 
-from .enumeration import CertificateError
+from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap
 from .lattices import (
     IntegralLattice,
-    canonical_json,
     construction_a,
     det_int,
     dual_basis,
@@ -24,7 +23,8 @@ from .lattices import (
 )
 
 __all__ = [
-    "EnumerationTooLarge",
+    "FAMILY_KEYS",
+    "MAX_LENGTH",
     "LinearCode",
     "WeightReport",
     "parity_check_code",
@@ -40,19 +40,9 @@ __all__ = [
     "is_self_dual",
     "minimal_lift",
     "code_document",
-    "dump_code",
     "code_from_document",
-    "load_code",
-    "save_code",
+    "read_spec",
 ]
-
-class EnumerationTooLarge(ValueError):
-    """Codeword enumeration would exceed the configured cap."""
-
-    def __init__(self, cardinality: int, cap: int):
-        self.cardinality = cardinality
-        self.cap = cap
-        super().__init__(f"enumeration too large: |C| = {cardinality} > cap {cap}")
 
 
 class LinearCode:
@@ -65,15 +55,15 @@ class LinearCode:
     __slots__ = ("q", "n", "generators", "family", "params", "_lattice", "_dual", "_weights")
 
     def __init__(self, q: int, n: int, generators, family=None, params=None):
-        q = int(q)
-        n = int(n)
+        q = index(q)
+        n = index(n)
         if q < 2:
             raise ValueError("q must be >= 2")
         if n < 1:
             raise ValueError("n must be >= 1")
         rows = []
         for g in generators:
-            g = [int(e) % q for e in g]
+            g = [index(e) % q for e in g]
             if len(g) != n:
                 raise ValueError("generator length differs from n")
             if any(g):
@@ -162,12 +152,12 @@ def minimal_lift(word, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def weight_report(code: LinearCode, cap: int = 10_000_000) -> WeightReport:
-    """Exhaustive weight data, cached on `code`; raises EnumerationTooLarge
+def weight_report(code: LinearCode, cap: int = DEFAULT_CAP) -> WeightReport:
+    """Exhaustive weight data, cached on `code`; raises EnumerationCap
     above the cap, on every call, whether or not the report is cached."""
     card = code.cardinality
     if card > cap:
-        raise EnumerationTooLarge(card, cap)
+        raise EnumerationCap(card, cap, "codewords")
     if code._weights is None:
         code._weights = _weights(code)
     return code._weights
@@ -279,6 +269,14 @@ FAMILIES = {
     "zero": (zero_code, ("n", "q")),
 }
 
+# every family parameter once, in FAMILIES order: the CLI's family flags
+FAMILY_KEYS = tuple(dict.fromkeys(name for _, names in FAMILIES.values() for name in names))
+
+# The size bound of a spec document: length at most 2**7, as in rm-table, so
+# m <= 7 for Reed-Muller, and at most MAX_LENGTH**2 generator or row entries,
+# which every family's generators at that length fit.
+MAX_LENGTH = 128
+
 
 def reed_muller_table(m_max: int) -> list[tuple[int, int, int, int, int]]:
     """(m, r, k, det_rows, det_lattice) for 1 <= m <= m_max and 0 <= r < m.
@@ -339,10 +337,6 @@ def code_document(code: LinearCode) -> dict:
     return doc
 
 
-def dump_code(code: LinearCode) -> str:
-    return canonical_json(code_document(code))
-
-
 def document_int(value, name: str) -> int:
     """value, if it is an integer of a JSON document; ValueError otherwise.
 
@@ -355,32 +349,59 @@ def document_int(value, name: str) -> int:
     return value
 
 
-def code_from_document(doc: dict) -> LinearCode:
+def _check_shape(doc: dict, shape: str, keys) -> None:
+    """ValueError unless `doc` has no key but `keys`, those of its shape,
+    and is within the size bound (MAX_LENGTH)."""
+    extra = sorted(set(doc) - set(keys))
+    if extra:
+        raise ValueError(f"{shape} takes no key {extra[0]!r}")
+    for key, bound in (("n", MAX_LENGTH), ("m", MAX_LENGTH.bit_length() - 1)):
+        if key in doc and document_int(doc[key], key) > bound:
+            raise ValueError(f"{key} = {doc[key]} is over the size bound {bound}")
+    entries = sum(map(len, doc.get("generators", doc.get("rows", ()))))
+    if entries > MAX_LENGTH**2:
+        raise ValueError(f"{entries} entries are over the size bound {MAX_LENGTH**2}")
+
+
+def code_from_document(doc) -> LinearCode:
+    """The code of a family or generator document, checked as in `read_spec`."""
+    if not isinstance(doc, dict):
+        raise ValueError("not a JSON object")
     if "family" in doc:
         family = doc["family"]
         if not isinstance(family, str) or family not in FAMILIES:
             raise ValueError(f"unknown family {family!r} (known: {tuple(FAMILIES)})")
         make, names = FAMILIES[family]
-        extra = sorted(set(doc) - {"family", "q", "n", *names})
-        if extra:
-            raise ValueError(f"family {family!r} takes no key {extra[0]!r}")
+        _check_shape(doc, f"family {family!r}", ("family", "q", "n", *names))
         code = make(*(document_int(doc[name], name) for name in names))
         for key in ("q", "n"):  # code_document writes both for every family
             if key in doc and document_int(doc[key], key) != getattr(code, key):
                 raise ValueError(f"{key} = {doc[key]} contradicts the {family} code")
         return code
     if "generators" in doc:
+        _check_shape(doc, "a generator document", ("q", "n", "generators"))
         q, n = document_int(doc["q"], "q"), document_int(doc["n"], "n")
         rows = [[document_int(e, "generator entry") for e in g] for g in doc["generators"]]
         return LinearCode(q, n, rows)
-    raise ValueError("code document needs either 'family' or 'generators'")
+    raise ValueError("spec needs a 'family' or 'generators' key, or 'rows' for a lattice")
 
 
-def load_code(path) -> LinearCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return code_from_document(json.load(fh))
+def read_spec(doc) -> tuple[LinearCode | None, IntegralLattice]:
+    """(code, its lattice) of a family or generator document, or
+    (None, lattice) of a rows document: the one reader of spec documents.
 
-
-def save_code(code: LinearCode, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_code(code))
+    A family document takes the family's parameters and its code's q and n,
+    a generator document q, n and generators, a rows document rows only.
+    Every number must be a JSON integer (`document_int`).  A missing key
+    raises KeyError.  Any other defect raises ValueError (or TypeError for
+    a value of the wrong JSON type): a non-object, a key outside the shape,
+    a family's q or n other than its code's, a length over MAX_LENGTH or
+    more than MAX_LENGTH**2 entries (checked before anything is built), and
+    rows of less than full rank.
+    """
+    if isinstance(doc, dict) and "rows" in doc:
+        _check_shape(doc, "a rows document", ("rows",))
+        rows = [[document_int(e, "row entry") for e in row] for row in doc["rows"]]
+        return None, IntegralLattice.from_rows(rows)
+    code = code_from_document(doc)
+    return code, code.lattice()

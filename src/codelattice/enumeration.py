@@ -51,6 +51,7 @@ from .lattices import IntegralLattice, leading_minors
 
 __all__ = [
     "CertificateError",
+    "DEFAULT_CAP",
     "EnumerationCap",
     "NotPositiveDefinite",
     "ShortVector",
@@ -73,14 +74,17 @@ HERMITE_POWER = {
     8: Fraction(256),
 }
 
+DEFAULT_CAP = 10_000_000  # the cap of every capped enumeration and of the CLI
+
 
 class EnumerationCap(RuntimeError):
-    """The enumeration produced more vectors than the configured cap."""
+    """An enumeration would list more than `cap` items, short vectors or a
+    code's codewords (`what` names them); no partial result is returned."""
 
-    def __init__(self, count: int, cap: int):
+    def __init__(self, count: int, cap: int, what: str = "vectors"):
         self.count = count
         self.cap = cap
-        super().__init__(f"enumeration cap exceeded: {count} vectors > cap {cap}")
+        super().__init__(f"enumeration cap exceeded: {count} {what} > cap {cap}")
 
 
 class NotPositiveDefinite(ValueError):
@@ -125,7 +129,7 @@ def _grain(gram) -> int:
 
 
 def short_vectors(
-    lattice: IntegralLattice, bound: int, cap: int = 10_000_000
+    lattice: IntegralLattice, bound: int, cap: int = DEFAULT_CAP
 ) -> ShortVectorList:
     """All vectors with 0 < norm <= bound, one representative per +-pair.
 

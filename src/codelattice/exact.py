@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import index
 
 __all__ = ["Radical", "compare", "integer_root", "exact_root", "positional"]
 
@@ -86,7 +87,7 @@ class Radical:
         radicand = Fraction(radicand)
         if radicand < 0:
             raise ValueError("radicand must be non-negative")
-        root = int(root)
+        root = index(root)
         if root < 1:
             raise ValueError("root must be a positive integer")
         if radicand == 0 or radicand == 1:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .codes import LinearCode, dual_code, parity_check_code
+from .enumeration import DEFAULT_CAP
 from .exact import Radical, positional
 from .lattices import IntegralLattice, gamma_ratio
 from .sublattice_search import SearchCertificate, minimal_sublattice
@@ -201,7 +202,7 @@ def known_fact_seeds(n_max: int) -> list[BoundInterval]:
     return seeds
 
 
-def standard_seeds(n_max: int, cap: int = 10_000_000) -> list[BoundInterval]:
+def standard_seeds(n_max: int, cap: int = DEFAULT_CAP) -> list[BoundInterval]:
     """Known facts plus this library's own lattice lower bounds.
 
     The single parity check code at q = 2 supplies, for every n, a rank-2

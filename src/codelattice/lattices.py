@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import index
 
 from .exact import Radical
 
@@ -32,7 +33,6 @@ __all__ = [
     "sublattice_from_rows",
     "gamma_ratio",
     "lattice_document",
-    "dump_lattice",
     "canonical_json",
 ]
 
@@ -75,7 +75,7 @@ def leading_minors(gram) -> tuple[list[int], list[list[int]]]:
     a[k][k] == D[k+1]; entries below the diagonal are left as they were.
     The elimination stops at the first minor that is not positive, D's last."""
     n = len(gram)
-    a = [list(map(int, row)) for row in gram]
+    a = [list(map(index, row)) for row in gram]
     dets = [1]
     for k in range(n):
         pivot = a[k][k]
@@ -107,7 +107,7 @@ def hnf(rows) -> tuple[list[list[int]], int]:
     pivots are produced by extended-gcd row operations (unimodular), made
     positive, and entries above each pivot are reduced into [0, pivot).
     """
-    work = [list(map(int, r)) for r in rows]
+    work = [list(map(index, r)) for r in rows]
     if not work:
         return [], 0
     n = len(work[0])
@@ -200,7 +200,7 @@ class IntegralLattice:
         """basis must be the row HNF that `hnf` returns for a full-rank span:
         square, zero below the diagonal, positive pivots, and entries above
         each pivot in [0, pivot).  Use `from_rows` for arbitrary rows."""
-        self.basis = tuple(tuple(map(int, row)) for row in basis)
+        self.basis = tuple(tuple(map(index, row)) for row in basis)
         self.n = len(self.basis)
         _check_hnf(self.basis)
         d = 1
@@ -233,7 +233,7 @@ class IntegralLattice:
 
     def coefficients_of(self, v) -> list[int] | None:
         """Integer coordinates of v in the basis, or None if not a member."""
-        v = list(map(int, v))
+        v = list(map(index, v))
         if len(v) != self.n:
             return None
         coeffs = []
@@ -296,7 +296,7 @@ class Sublattice:
 
     def __init__(self, ambient: IntegralLattice, rows, gram_l, det_l: int):
         self.ambient = ambient
-        self.rows = tuple(tuple(map(int, r)) for r in rows)
+        self.rows = tuple(tuple(map(index, r)) for r in rows)
         self.gram_l = tuple(tuple(r) for r in gram_l)
         self.det_l = det_l
         self.l = len(self.rows)
@@ -307,7 +307,7 @@ class Sublattice:
 
 def sublattice_from_rows(lattice: IntegralLattice, rows) -> Sublattice:
     """Certified sublattice: verifies membership of each row and full rank."""
-    rows = [list(map(int, r)) for r in rows]
+    rows = [list(map(index, r)) for r in rows]
     for r in rows:
         if lattice.coefficients_of(r) is None:
             raise NotInLattice(f"row {r} is not a lattice member")
@@ -334,11 +334,6 @@ def lattice_document(lattice: IntegralLattice) -> dict:
         "gram": [list(r) for r in lattice.gram],
         "det_gram": lattice.det_gram,
     }
-
-
-def dump_lattice(lattice: IntegralLattice) -> str:
-    """Canonical text form; byte-comparable after normalisation."""
-    return canonical_json(lattice_document(lattice))
 
 
 def canonical_json(doc) -> str:

@@ -83,7 +83,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from operator import mul
 
-from .enumeration import HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
+from .enumeration import DEFAULT_CAP, HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
 from .lattices import (
     IntegralLattice,
     det_int,
@@ -288,7 +288,7 @@ def minimal_sublattice(
     lattice: IntegralLattice,
     l: int,
     upper_hint: int | None = None,
-    cap: int = 10_000_000,
+    cap: int = DEFAULT_CAP,
 ) -> SearchCertificate:
     """Exact minimal rank-l sublattice determinant with a certified witness.
 

@@ -32,7 +32,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .codes import (
-    EnumerationTooLarge,
     LinearCode,
     dual_code,
     extended_hamming_code,
@@ -64,7 +63,7 @@ from .lattices import (
     is_even,
     sublattice_from_rows,
 )
-from .enumeration import CertificateError, lattice_minimum
+from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap, lattice_minimum
 from .sublattice_search import minimal_sublattice, rank2_code_bound
 
 __all__ = ["CheckResult", "run_checks", "render_report", "OPEN_CONSTANTS_NOTE"]
@@ -123,7 +122,7 @@ def _family_corpus() -> list[LinearCode]:
 def _enumerable(code: LinearCode, cap: int) -> LinearCode:
     """`code`, once its codewords are known to fit under the cap."""
     if code.cardinality > cap:
-        raise EnumerationTooLarge(code.cardinality, cap)
+        raise EnumerationCap(code.cardinality, cap, "codewords")
     return code
 
 
@@ -554,7 +553,7 @@ CHECKS = (
 
 
 def run_checks(
-    filter: str | None = None, random_codes: int = 200, cap: int = 10_000_000
+    filter: str | None = None, random_codes: int = 200, cap: int = DEFAULT_CAP
 ) -> list[CheckResult]:
     """Run the suite in declared order; failures never abort the run.
 

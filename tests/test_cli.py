@@ -179,6 +179,17 @@ def test_build_spec_file(cache, capsys, tmp_path):
     assert doc["cardinality"] == 8
 
 
+def test_build_code_document_round_trip(cache, capsys, tmp_path):
+    # the `code` that `build` prints, passed back with --spec, prints the same bytes
+    gens, spec = tmp_path / "gens.json", tmp_path / "code.json"
+    gens.write_text('{"q": 4, "n": 3, "generators": [[6, 2, -1], [0, 0, 4]]}')
+    for argv in (["--family", "reed_muller", "--r", "1", "--m", "3"], ["--spec", str(gens)]):
+        code, first, _ = _run(capsys, ["build", *argv, "--format", "json"])
+        assert code == 0
+        spec.write_text(json.dumps(json.loads(first)["code"]))
+        assert _run(capsys, ["build", "--spec", str(spec), "--format", "json"]) == (0, first, "")
+
+
 def test_rank_deficient_spec_exits_2(cache, capsys, tmp_path):
     spec = tmp_path / "rows.json"
     spec.write_text('{"rows": [[1, 2], [2, 4]]}')
@@ -205,11 +216,24 @@ def test_rank_deficient_spec_exits_2(cache, capsys, tmp_path):
         # a key the family does not take, or a q or n that contradicts it
         pytest.param('{"family": "reed_muller", "r": 1, "m": 3, "q": 5, "n": 3}', id="family-q-n"),
         pytest.param('{"family": "parity_check", "n": 4, "q": 2, "r": 1}', id="family-extra-key"),
+        # a key outside the shape of a generator or rows document
+        pytest.param('{"q": 2, "n": 4, "generators": [[1, 1, 1, 1]], "m": 7}', id="generators-m"),
+        pytest.param('{"rows": [[1, 0], [0, 1]], "q": 5, "family": "zero"}', id="rows-family"),
+        # over the size bound, though small enough to build if the check were missing
+        pytest.param(json.dumps({"q": 2, "n": 129, "generators": [[1] * 129]}), id="n-129"),
+        pytest.param(
+            json.dumps({"rows": [[int(i == j) for j in range(128)] for i in range(128)] + [[1] * 128]}),
+            id="129-rows-of-128",
+        ),
+        # files json.load rejects with ValueError or RecursionError
+        pytest.param('{"rows": [[' + "1" * 5000 + "]]}", id="5000-digit-integer"),
+        pytest.param("[" * 100000 + "]" * 100000, id="deep-nesting"),
+        pytest.param(b'{"rows": [[1]]}\xff', id="bad-utf8"),
     ],
 )
 def test_unparseable_spec_exits_2(cache, capsys, tmp_path, text):
     spec = tmp_path / "junk.json"
-    spec.write_text(text)
+    spec.write_bytes(text if isinstance(text, bytes) else text.encode())
     code, _, err = _run(capsys, ["build", "--spec", str(spec)])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err

@@ -3,23 +3,25 @@ import random
 
 import pytest
 
-from codelattice.lattices import construction_a
+from codelattice.enumeration import EnumerationCap
+from codelattice.lattices import canonical_json, construction_a
+from codelattice import codes
 from codelattice.codes import (
     FAMILIES,
-    EnumerationTooLarge,
+    FAMILY_KEYS,
+    MAX_LENGTH,
     LinearCode,
+    code_document,
     code_from_document,
     dual_code,
-    dump_code,
     extended_hamming_code,
     full_code,
-    load_code,
     minimal_lift,
     parity_check_code,
+    read_spec,
     reed_muller_code,
     reed_muller_generators,
     same_row_space,
-    save_code,
     weight_report,
     zero_code,
     is_self_dual,
@@ -97,7 +99,7 @@ def test_weight_report_examples():
 
 
 def test_weight_report_cap():
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(EnumerationCap):
         weight_report(full_code(6, 4), cap=100)
 
 
@@ -113,7 +115,7 @@ def test_weight_report_cached_with_cap_checked_each_call(monkeypatch):
     monkeypatch.setattr(LinearCode, "codewords", no_codewords)
     assert weight_report(code) is first
     assert rank2_code_bound(code) == 12
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(EnumerationCap):
         weight_report(code, cap=15)
     assert weight_report(code, cap=16) is first
 
@@ -159,7 +161,7 @@ def test_cardinality_divides_power():
         assert code.q ** code.n % code.cardinality == 0
 
 
-def test_document_round_trip(tmp_path):
+def test_document_round_trip():
     rng = random.Random(24)
     samples = [
         parity_check_code(4, 3),
@@ -168,14 +170,12 @@ def test_document_round_trip(tmp_path):
         full_code(3, 2),
         zero_code(4, 5),
     ] + [_random_code(rng) for _ in range(10)]
-    for i, code in enumerate(samples):
-        path = tmp_path / f"code{i}.json"
-        save_code(code, path)
-        loaded = load_code(path)
+    for code in samples:
+        text = canonical_json(code_document(code))
+        loaded = code_from_document(json.loads(text))
         assert same_row_space(loaded, code)
-        # canonical form is stable: save(load(x)) == save(x) byte for byte
-        save_code(loaded, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        # the canonical form is stable: writing what was read gives the same bytes
+        assert canonical_json(code_document(loaded)) == text
 
 
 def test_dual_code_lattice():
@@ -229,6 +229,49 @@ def test_document_errors():
             code_from_document(doc)
 
 
+def test_read_spec_shapes_take_only_their_keys():
+    code, lat = read_spec({"family": "parity_check", "n": 4, "q": 2})
+    assert lat == code.lattice() == construction_a(parity_check_code(4, 2))
+    code, lat = read_spec({"rows": [[2, 1], [1, 2]]})
+    assert code is None and lat.det_gram == 9
+    for doc in (
+        {"q": 2, "n": 4, "generators": [[1, 1, 1, 1]], "m": 7},
+        {"rows": [[1, 0], [0, 1]], "q": 5, "family": "zero"},
+        {"rows": [[1, 0], [0, 1]], "n": 2},
+        {"rows": [[1, 2], [2, 4]]},  # rank deficient
+        [[1, 0], [0, 1]],
+        {},
+    ):
+        with pytest.raises(ValueError):
+            read_spec(doc)
+    # the CLI's family flags, in FAMILIES order
+    assert FAMILY_KEYS == ("n", "q", "r", "m")
+
+
+def test_size_bound_is_checked_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("an oversized document was built")
+
+    for family in FAMILIES:
+        monkeypatch.setitem(FAMILIES, family, (build, FAMILIES[family][1]))
+    monkeypatch.setattr(codes, "LinearCode", build)
+    monkeypatch.setattr(codes.IntegralLattice, "from_rows", build)
+    row = [1] * MAX_LENGTH
+    for doc in (
+        {"family": "reed_muller", "r": 1, "m": 40},
+        {"family": "reed_muller", "r": 1, "m": 8},
+        {"family": "parity_check", "n": 100000, "q": 2},
+        {"family": "full", "n": MAX_LENGTH + 1, "q": 2},
+        {"family": "extended_hamming", "n": MAX_LENGTH + 1},
+        {"q": 2, "n": MAX_LENGTH + 1, "generators": [[1] * (MAX_LENGTH + 1)]},
+        {"q": 2, "n": MAX_LENGTH, "generators": [row] * (MAX_LENGTH + 1)},
+        {"rows": [row] * (MAX_LENGTH + 1)},
+        {"rows": [[1] * (MAX_LENGTH**2 + 1)]},
+    ):
+        with pytest.raises(ValueError, match="size bound"):
+            read_spec(doc)
+
+
 def test_family_table_dispatch():
     params = {"n": 4, "q": 3, "r": 1, "m": 3}
     for family, (make, names) in FAMILIES.items():
@@ -241,5 +284,5 @@ def test_family_table_dispatch():
 def test_generators_reduced_and_zero_rows_dropped():
     code = LinearCode(3, 3, [[3, 4, -1], [0, 0, 0], [6, 3, 3]])
     assert code.generators == ((0, 1, 2),)
-    doc = json.loads(dump_code(code))
+    doc = json.loads(canonical_json(code_document(code)))
     assert doc["generators"] == [[0, 1, 2]]

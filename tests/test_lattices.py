@@ -9,6 +9,7 @@ from codelattice.lattices import (
     IntegralLattice,
     NotInLattice,
     RankDeficient,
+    canonical_json,
     construction_a,
     det_int,
     dual_basis,
@@ -16,7 +17,6 @@ from codelattice.lattices import (
     hnf,
     is_even,
     lattice_document,
-    dump_lattice,
     sublattice_from_rows,
 )
 from dual_oracle import dual_basis as oracle_dual_basis
@@ -49,6 +49,29 @@ def test_hnf_canonical_reduction():
 def test_rank_deficient():
     with pytest.raises(RankDeficient):
         IntegralLattice.from_rows([[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: IntegralLattice.from_rows([[1.5, 0], [0, 1]]), id="from_rows-float"),
+        pytest.param(lambda: LinearCode(3.5, 4, [[1, 1, 1, 1]]), id="LinearCode-float-q"),
+        pytest.param(lambda: LinearCode(3, 4, [[1.9, 1, 1, 1]]), id="LinearCode-float-generator"),
+        pytest.param(lambda: Radical(2, 2.5), id="Radical-float-root"),
+        pytest.param(lambda: Radical(2, "3"), id="Radical-str-root"),
+        pytest.param(lambda: hnf([["1", 0], [0, 2]]), id="hnf-str"),
+        pytest.param(lambda: IntegralLattice([[1.7, 0], [0, 2.2]]), id="IntegralLattice-float"),
+        pytest.param(
+            lambda: sublattice_from_rows(IntegralLattice([[1, 0], [0, 1]]), [[1.2, 1.9]]),
+            id="sublattice_from_rows-float",
+        ),
+        pytest.param(lambda: hnf([[Fraction(2), 0], [0, 1]]), id="hnf-Fraction"),
+    ],
+)
+def test_constructors_reject_non_integers(build):
+    # int() would truncate each of these to a wrong lattice, code or radical
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_construction_a_dets():
@@ -199,7 +222,7 @@ def test_document_canonical():
     lat = construction_a(parity_check_code(3, 2))
     doc = lattice_document(lat)
     assert doc["det_gram"] == 4
-    assert dump_lattice(lat) == dump_lattice(IntegralLattice(lat.basis))
+    assert canonical_json(doc) == canonical_json(lattice_document(IntegralLattice(lat.basis)))
 
 
 def test_det_int_matches_diagonal_square():

@@ -85,7 +85,7 @@ def test_d1_over_cap_reports_the_cap():
     # codes above the cap are not scored as zero codes
     [result] = [r for r in run_checks("d1_formula", cap=100) if r.status != "skipped"]
     assert result.status == "fail"
-    assert result.detail.startswith("EnumerationTooLarge"), result.detail
+    assert result.detail.startswith("EnumerationCap"), result.detail
     assert "cap 100" in result.detail
 
 
