@@ -1,59 +1,71 @@
 """Complete short-vector enumeration in exact integer arithmetic.
 
-Fraction-free (Bareiss) elimination of the Gram matrix gives the leading
-minors D_0 = 1, D_1, ..., D_n and integer eliminated rows a_ij, and with
-them the integer form of the norm
+The HNF basis B is upper triangular with pivots d_j, so a lattice vector
+x = c B has x_j = P_j + c_j d_j, where P_j = sum_{i<j} c_i B_ij depends on
+the coefficients already fixed.  The walk fixes x_0, x_1, ... in turn, each
+x_j in the residue class P_j mod d_j, and the norm is the plain sum of the
+x_j**2: no Gram matrix, no quadratic form, no rounding.  A modulus m with
+m Z^n inside the lattice splits the walk in two stages, since whether x is
+a lattice vector depends on x mod m only:
 
-    Q(x) = sum_i (D_{i+1} x_i + c_i)**2 / (D_i D_{i+1}),
-    c_i  = sum_{j>i} a_ij x_j.
+* The words.  The first stage takes each x_j to be the representative w_j
+  of its class mod m in (-m/2, m/2].  The sum of the w_j**2 over a prefix
+  is the least norm of any completion, and it prunes the walk.  For a
+  Construction A lattice m = q, and the words are the codewords' minimal
+  lifts (Conway & Sloane, SPLAG ch. 5 section 2).
+* The lifts.  The vectors congruent to a word w are w + m z.  Moving x_j
+  off w_j costs at least m * (m - 2 |w_j|) more than w_j**2, so only the
+  coordinates where that fits into the slack B - |w|**2 can move.  The
+  second stage walks those, each x_j with x_j**2 <= (slack left) + w_j**2,
+  and so never meets a dead end.
+* The modulus.  m is the lcm of the pivots when `dual_basis` proves
+  m B^{-1} integral (m e_j in the lattice for every j), else det B, the
+  product of the pivots, since adj B = det B * B^{-1} is integral.  When
+  m*m > 4B no class holds two vectors of norm <= B, and the walk is the
+  plain ambient walk: every vector is its own word.
+* One vector per +-pair.  Negation maps words to words and fixes exactly
+  the entries 0 and m/2.  While every w_j so far is one of them, the first
+  stage keeps w_j >= 0, so it visits one word of each pair {w, -w}.  The
+  lifts of a word are emitted sign-normalised; those of a self-negating
+  word (every entry 0 or m/2) only with a positive first nonzero entry.
 
-Scaling by M = lcm_i(D_i D_{i+1}) makes the budget M*B and every weight
-w_i = M / (D_i D_{i+1}) an integer.  A Fincke-Pohst depth-first walk fixes
-x_{n-1}, ..., x_0 in turn; with R the budget left at level i and
-s = isqrt(R // w_i), the admissible coefficients are exactly
-
-    -floor((s + c_i) / D_{i+1}) <= x_i <= floor((s - c_i) / D_{i+1}),
-
-so completeness never depends on rounding.  The centres c_i are kept as
-Schnorr-Euchner partial sums: stepping x_j adds a_ij to the sums of the
-levels below it, and a level only recomputes the terms whose coefficients
-changed since it was last entered.  Every vector of squared norm <= B is
-listed once per +-pair, and every emitted norm is re-checked by an integer
-dot product against the form's value.
+Every emitted vector's norm is re-checked by an integer dot product against
+the walk's running sum and against (0, B]; a mismatch raises
+CertificateError.
 
 Three exact rules keep each lattice to about one walk:
 
 * The norm grain.  x G x^T = sum_i g_ii x_i**2 + sum_{i<j} 2 g_ij x_i x_j,
   so every norm is a multiple of g = gcd(g_ii, 2 g_ij), and a walk to
-  g * floor(B / g) lists exactly the vectors of norm <= B.
+  g * floor(B / g) lists exactly the vectors of norm <= B.  Only a request
+  past the kept list (below) needs g, and so the Gram matrix.
 * The Hermite start.  Every lattice of rank n has
   (lambda1**2)**n <= gamma_n**n * det, so for n <= 8 (where gamma_n**n is
   known exactly, HERMITE_POWER) lambda1**2 is at most the largest integer b
   with b**n <= gamma_n**n * det; `lattice_minimum` walks to the smaller of b
-  and the Gram diagonal's minimum, a radius that always holds a minimal
+  and the smallest basis-row norm, a radius that always holds a minimal
   vector.
 * The reused list.  The list `lattice_minimum` enumerated is kept on the
   lattice; it holds every vector of norm <= its bound, sorted by norm, so a
-  later request whose rounded radius is within that bound is its bisected
-  prefix, the list a new walk would return.
+  later request within that bound is its bisected prefix, the list a new
+  walk would return.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import attrgetter
+from math import gcd, isqrt, lcm, prod
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 from .exact import integer_root
-from .lattices import IntegralLattice, leading_minors
+from .lattices import IntegralLattice, dual_basis
 
 __all__ = [
     "CertificateError",
     "DEFAULT_CAP",
     "EnumerationCap",
-    "NotPositiveDefinite",
     "ShortVector",
     "ShortVectorList",
     "short_vectors",
@@ -87,10 +99,6 @@ class EnumerationCap(RuntimeError):
         super().__init__(f"enumeration cap exceeded: {count} {what} > cap {cap}")
 
 
-class NotPositiveDefinite(ValueError):
-    pass
-
-
 class CertificateError(ArithmeticError):
     """An exact re-check of a certified quantity failed.
 
@@ -109,16 +117,6 @@ class ShortVectorList(NamedTuple):
     vectors: list[ShortVector]
 
 
-def _integer_form(gram) -> tuple[list[int], list[list[int]]]:
-    """`leading_minors` of the Gram matrix: D_0..D_n and the a_ij of the
-    form in the module docstring.  Raises NotPositiveDefinite unless every
-    leading minor is positive (Sylvester's criterion)."""
-    dets, a = leading_minors(gram)
-    if dets[-1] <= 0:
-        raise NotPositiveDefinite("Gram matrix is not positive definite")
-    return dets, a
-
-
 def _grain(gram) -> int:
     """gcd of the g_ii and the 2 g_ij: every norm is a multiple of it."""
     n = len(gram)
@@ -134,134 +132,129 @@ def short_vectors(
     """All vectors with 0 < norm <= bound, one representative per +-pair.
 
     Representatives have a positive first nonzero coordinate and are sorted
-    by (norm, coordinates).  The walk goes to the bound rounded down to the
-    norm grain; a request within the list `lattice_minimum` kept is served
-    as its prefix (module docstring).  Either way the result is a new list,
-    and more than `cap` vectors raise EnumerationCap.  Every enumerated
-    norm is re-verified by an integer dot product of the ambient
-    coordinates; a mismatch raises CertificateError.
+    by (norm, coordinates).  A request within the list `lattice_minimum`
+    kept is served as its prefix; past it, the walk goes to the bound
+    rounded down to the norm grain, and without it to the bound as asked
+    (module docstring).  Either way the result is a new list, and more
+    than `cap` vectors raise EnumerationCap.
+    Every enumerated norm is re-verified by an integer dot product of the
+    ambient coordinates; a mismatch raises CertificateError.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    radius = bound - bound % _grain(lattice.gram)
     known = lattice._short
-    if known is None or radius > known.bound:
-        return ShortVectorList(bound, _walk(lattice, radius, cap))
-    vectors = known.vectors[: bisect_right(known.vectors, radius, key=attrgetter("norm"))]
+    if known is None:
+        return ShortVectorList(bound, _walk(lattice, bound, cap))
+    if bound > known.bound:
+        radius = bound - bound % _grain(lattice.gram)
+        if radius > known.bound:
+            return ShortVectorList(bound, _walk(lattice, radius, cap))
+    vectors = known.vectors[: bisect_right(known.vectors, bound, key=attrgetter("norm"))]
     # the walk raises at the first vector past the cap
     if len(vectors) > max(cap, 0):
         raise EnumerationCap(max(cap, 0) + 1, cap)
     return ShortVectorList(bound, vectors)
 
 
+def _modulus(lattice: IntegralLattice) -> int:
+    """An m with m Z^n inside the lattice (module docstring)."""
+    pivots = [lattice.basis[j][j] for j in range(lattice.n)]
+    m = lcm(*pivots)
+    try:
+        dual_basis(lattice, m)
+    except ValueError:
+        return prod(pivots)
+    return m
+
+
 def _walk(lattice: IntegralLattice, bound: int, cap: int) -> list[ShortVector]:
     """The sorted representatives of norm <= bound (bound >= 0), by the
-    Fincke-Pohst walk of the module docstring."""
-    n = lattice.n
-    dets, a = _integer_form(lattice.gram)
-    weights = [dets[i] * dets[i + 1] for i in range(n)]
-    scale = 1
-    for p in weights:
-        scale = scale // gcd(scale, p) * p
-    weights = [scale // p for p in weights]
-    budget = scale * bound
-    basis = lattice.basis
-    out: list[ShortVector] = []
-
-    # Per level i: coefficient x[i], its upper end hi[i], the budget rest[i]
-    # left for levels <= i, the centre c[i] and whether every x[j], j > i,
-    # is zero (then x[i] >= 0 keeps one vector per +-pair).
-    x = [0] * n
-    hi = [0] * n
-    rest = [0] * n
-    c = [0] * n
-    zero_above = [False] * n
-    # Schnorr-Euchner partial sums: sums[k][j] = sum_{j' >= j} a[k][j'] x[j'];
-    # entering level k recomputes sums[k][j] for j from stale[k + 1] down.
-    sums = [[0] * (n + 1) for _ in range(n)]
-    stale = [n - 1] * n
-    # partial[k] = sum_{j >= k} x[j] * basis[j] for k >= fresh
-    partial = [None] * n + [[0] * n]
-    fresh = n
-
-    top = n - 1
-    x[top] = 0 if top else 1
-    hi[top] = isqrt(budget // weights[top]) // dets[n]
-    rest[top] = budget
-    zero_above[top] = True
-    i = top  # the level whose x[i] is tried next
-    while True:
-        xi = x[i]
-        if xi > hi[i]:
-            i += 1
-            if i == n:
-                break
-            x[i] += 1
-            if fresh <= i:
-                fresh = i + 1
-            continue
-        if i == 0:
-            for j in range(fresh - 1, 0, -1):
-                xj = x[j]
-                partial[j] = (
-                    [p + xj * b for p, b in zip(partial[j + 1], basis[j])]
-                    if xj
-                    else partial[j + 1]
-                )
-            fresh = 1
-            above, row0 = partial[1], basis[0]
-            d1, w0, c0, r0 = dets[1], weights[0], c[0], rest[0]
-            for x0 in range(xi, hi[0] + 1):
-                v = [p + x0 * b for p, b in zip(above, row0)]
-                norm = sum(e * e for e in v)
-                t = d1 * x0 + c0
-                if not 0 < norm <= bound or norm * scale != budget - r0 + w0 * t * t:
-                    raise CertificateError(
-                        f"norm {norm} of {v} disagrees with the quadratic form"
-                    )
-                for e in v:
-                    if e:
-                        if e < 0:
-                            v = [-e for e in v]
-                        break
-                out.append(ShortVector(tuple(v), norm))
-                if len(out) > cap:
-                    raise EnumerationCap(len(out), cap)
-            x[0] = hi[0] + 1
-            continue
-        # descend to level k = i - 1 with the budget that x[i] leaves
-        t = dets[i + 1] * xi + c[i]
-        r = rest[i] - weights[i] * t * t
-        k = i - 1
-        j0 = stale[i]
-        sk, ak = sums[k], a[k]
-        for j in range(j0, k, -1):
-            sk[j] = sk[j + 1] + ak[j] * x[j]
-        if j0 > stale[k]:
-            stale[k] = j0
-        stale[i] = i
-        ck = sk[i]
-        s = isqrt(r // weights[k])
-        d = dets[i]
-        hk = (s - ck) // d
-        zk = zero_above[i] and xi == 0
-        lo = (0 if k else 1) if zk else -((s + ck) // d)
-        if lo > hk:
-            x[i] = xi + 1
-            if fresh <= i:
-                fresh = i + 1
-            continue
-        x[k] = lo
-        hi[k] = hk
-        rest[k] = r
-        c[k] = ck
-        zero_above[k] = zk
-        if fresh <= k:
-            fresh = i
-        i = k
-
+    residue walk of the module docstring."""
+    walk = _Walk(lattice.basis, _modulus(lattice), bound, cap)
+    walk.words(0, [0] * lattice.n, bound, True)
+    out = walk.out
     out.sort(key=lambda sv: (sv.norm, sv.coords))
     return out
+
+
+class _Walk:
+    """The state of one `_walk`: the basis, the modulus, the bound, the cap
+    and the vectors emitted so far.  Its methods recurse at most 2n deep."""
+
+    __slots__ = ("basis", "m", "bound", "cap", "out")
+
+    def __init__(self, basis, m: int, bound: int, cap: int):
+        self.basis = basis
+        self.m = m
+        self.bound = bound
+        self.cap = cap
+        self.out: list[ShortVector] = []
+
+    def words(self, j: int, x: list[int], rest: int, self_negating: bool) -> None:
+        """Walk the words whose first j entries are x[:j]; x[j:] holds the
+        P_k of those entries, rest the budget they leave, and self_negating
+        whether each of them is 0 or m/2."""
+        basis = self.basis
+        m = self.m
+        row = basis[j]
+        d, p = row[j], x[j]
+        s = isqrt(rest)
+        hi = m // 2
+        if s < hi:
+            hi = s
+        if self_negating:
+            lo = 0
+        else:
+            lo = (m - 1) // 2
+            lo = -s if s < lo else -lo
+        ws = range(lo + (p - lo) % d, hi + 1, d)
+        if j + 1 < len(basis):
+            for w in ws:
+                c = (w - p) // d
+                y = [a + c * b for a, b in zip(x, row)] if c else x
+                self.words(j + 1, y, rest - w * w, self_negating and (w == 0 or w + w == m))
+        else:
+            # the words are complete: list their lifts
+            head = x[:j]
+            for w in ws:
+                word = head + [w]
+                slack = rest - w * w
+                free = [k for k, e in enumerate(word) if m * (m - 2 * abs(e)) <= slack]
+                self.lift(free, 0, word, slack, self_negating and (w == 0 or w + w == m))
+
+    def lift(self, free: list[int], i: int, v: list[int], slack: int, positive: bool) -> None:
+        """Emit the lifts of the word v that differ from it at free[i:] only;
+        slack is the bound less the norm of v.  While `positive`, the word
+        is self-negating, every entry so far is zero, and the next one stays
+        >= 0."""
+        if i == len(free):
+            if any(v):  # not the zero vector, the zero word's smallest lift
+                self.emit(v, slack)
+            return
+        m = self.m
+        k = free[i]
+        w = v[k]
+        room = slack + w * w
+        s = isqrt(room)
+        lo = 0 if positive else -s
+        for x in range(lo + (w - lo) % m, s + 1, m):
+            v[k] = x
+            self.lift(free, i + 1, v, room - x * x, positive and x == 0)
+        v[k] = w
+
+    def emit(self, v: list[int], slack: int) -> None:
+        norm = sum(map(mul, v, v))
+        if not 0 < norm <= self.bound or norm != self.bound - slack:
+            raise CertificateError(f"norm {norm} of {v} disagrees with the walk")
+        for e in v:
+            if e:
+                if e < 0:
+                    v = [-e for e in v]
+                break
+        out = self.out
+        out.append(ShortVector(tuple(v), norm))
+        if len(out) > self.cap:
+            raise EnumerationCap(len(out), self.cap)
 
 
 def lattice_minimum(lattice: IntegralLattice) -> tuple[int, tuple[int, ...]]:
@@ -269,15 +262,14 @@ def lattice_minimum(lattice: IntegralLattice) -> tuple[int, tuple[int, ...]]:
     coordinates among the minimal vectors).
 
     One complete enumeration to a radius known to hold a minimal vector
-    suffices: the minimum of the Gram diagonal, attained by a basis vector,
-    or for n <= 8 the Hermite bound, the largest b with
-    b**n <= gamma_n**n * det, if smaller (lambda1**2 is an integer with
-    (lambda1**2)**n <= gamma_n**n * det).  The list is kept on the
-    (immutable) lattice, so each lattice enumerates it once and
+    suffices: the smallest basis-row norm, or for n <= 8 the Hermite bound,
+    the largest b with b**n <= gamma_n**n * det, if smaller (lambda1**2 is
+    an integer with (lambda1**2)**n <= gamma_n**n * det).  The list is kept
+    on the (immutable) lattice, so each lattice enumerates it once and
     `short_vectors` serves smaller requests from it.
     """
     if lattice._short is None:
-        radius = min(lattice.gram[i][i] for i in range(lattice.n))
+        radius = min(sum(e * e for e in row) for row in lattice.basis)
         g = HERMITE_POWER.get(lattice.n)
         if g is not None:
             b = integer_root(g.numerator * lattice.det_gram // g.denominator, lattice.n)

@@ -22,7 +22,6 @@ __all__ = [
     "NotInLattice",
     "xgcd",
     "gram_matrix",
-    "leading_minors",
     "det_int",
     "hnf",
     "dual_basis",
@@ -69,35 +68,27 @@ def gram_matrix(rows) -> list[list[int]]:
     return [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
 
 
-def leading_minors(gram) -> tuple[list[int], list[list[int]]]:
-    """(D, a): leading minors D_0 = 1, D_1, ... and the rows a of a
-    fraction-free (Bareiss) elimination without row swaps, with
-    a[k][k] == D[k+1]; entries below the diagonal are left as they were.
-    The elimination stops at the first minor that is not positive, D's last."""
+def det_int(gram) -> int:
+    """Exact determinant of an integer Gram matrix, and of no other matrix,
+    by fraction-free (Bareiss) elimination without row swaps.  A positive
+    semidefinite matrix has no negative leading minor, and a zero one makes
+    it singular, so the elimination stops at the first minor that is not
+    positive and returns it: 0, the determinant."""
     n = len(gram)
     a = [list(map(index, row)) for row in gram]
-    dets = [1]
+    prev = 1
     for k in range(n):
         pivot = a[k][k]
-        dets.append(pivot)
         if pivot <= 0:
-            break
-        prev = dets[k]
+            return pivot
         row_k = a[k]
         for i in range(k + 1, n):
             row_i = a[i]
             f = row_i[k]
             for j in range(k + 1, n):
                 row_i[j] = (pivot * row_i[j] - f * row_k[j]) // prev
-    return dets, a
-
-
-def det_int(gram) -> int:
-    """Exact determinant of an integer Gram matrix, and of no other matrix:
-    the last leading minor.  A positive semidefinite matrix has no negative
-    minor, and a zero leading minor makes it singular, so an elimination
-    that stops early stops at 0, its determinant."""
-    return leading_minors(gram)[0][-1]
+        prev = pivot
+    return prev
 
 
 def hnf(rows) -> tuple[list[list[int]], int]:
@@ -188,7 +179,8 @@ class IntegralLattice:
 
     Immutable after construction; all methods are pure.  `_gram` holds
     the Gram matrix once `gram` is first read, since many lattices never
-    need it: a cache hit, or a table that reads only `det_gram`.  `_short`
+    need it: a cache hit, a table that reads only `det_gram`, or a search
+    that `_short` serves (enumeration walks the basis itself).  `_short`
     caches the `ShortVectorList` that `enumeration.lattice_minimum`
     enumerated for this lattice, from which `enumeration.short_vectors`
     serves every request within its bound.
@@ -283,10 +275,11 @@ def construction_a(code) -> IntegralLattice:
 def is_even(lattice: IntegralLattice) -> bool:
     """True iff every vector norm is even.
 
-    Checking the Gram diagonal suffices: x G x^T has the parity of
-    sum(x_i^2 g_ii) because the off-diagonal terms come in pairs.
+    Checking the Gram diagonal, the basis-row norms, suffices: x G x^T has
+    the parity of sum(x_i^2 g_ii) because the off-diagonal terms come in
+    pairs.
     """
-    return all(lattice.gram[i][i] % 2 == 0 for i in range(lattice.n))
+    return all(sum(e * e for e in row) % 2 == 0 for row in lattice.basis)
 
 
 class Sublattice:

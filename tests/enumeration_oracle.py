@@ -3,8 +3,8 @@
 This is the package's original enumeration: a Cholesky decomposition in
 ``Fraction`` arithmetic, the coefficient interval of each level from exact
 integer square roots, and the centre of each level recomputed from scratch.
-It is slow but independent of the integer form that `short_vectors` uses,
-so the tests compare the two.
+It is slow but shares nothing with the residue walk over the HNF basis that
+`short_vectors` uses, so the tests compare the two.
 """
 
 from __future__ import annotations
@@ -12,7 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from codelattice.enumeration import NotPositiveDefinite, ShortVector, ShortVectorList
+from codelattice.enumeration import ShortVector, ShortVectorList
+
+
+class NotPositiveDefinite(ValueError):
+    """The Gram matrix has a leading minor that is not positive."""
 
 
 def cholesky(gram) -> list[list[Fraction]]:

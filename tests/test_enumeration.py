@@ -8,9 +8,9 @@ from codelattice.codes import LinearCode, parity_check_code, reed_muller_code
 from codelattice.enumeration import (
     HERMITE_POWER,
     EnumerationCap,
-    NotPositiveDefinite,
     ShortVectorList,
     _grain,
+    _modulus,
     _walk,
     lattice_minimum,
     short_vectors,
@@ -175,15 +175,6 @@ def test_bad_bound():
         short_vectors(_zn(2), 0)
 
 
-def test_cholesky_rejects_indefinite():
-    from codelattice.enumeration import _integer_form
-
-    singular = ([[1, 1], [1, 1]], [[0]], [[2, 2, 0], [2, 2, 0], [0, 0, 1]], [[1, 0], [0, 0]])
-    for gram in ([[1, 2], [2, 1]], [[2, 0, 0], [0, -1, 0], [0, 0, 1]], *singular):
-        with pytest.raises(NotPositiveDefinite):
-            _integer_form(gram)
-
-
 def _fraction_det(m):
     """Determinant by Gaussian elimination over the rationals, with row swaps."""
     a = [[Fraction(e) for e in row] for row in m]
@@ -205,9 +196,7 @@ def _fraction_det(m):
 @pytest.mark.parametrize("seed", range(4))
 def test_det_int_matches_fraction_elimination(seed):
     # Gram matrices of k random rows in dimension m: singular whenever the
-    # rows are dependent (always when k > m), and then det_int is 0 and
-    # _integer_form refuses the matrix
-    from codelattice.enumeration import _integer_form
+    # rows are dependent (always when k > m), and then det_int is 0
     from codelattice.lattices import det_int, gram_matrix
 
     rng = random.Random(900 + seed)
@@ -220,36 +209,8 @@ def test_det_int_matches_fraction_elimination(seed):
         gram = gram_matrix(rows)
         det = det_int(gram)
         assert det == _fraction_det(gram), rows
-        if det == 0:
-            singular += 1
-            with pytest.raises(NotPositiveDefinite):
-                _integer_form(gram)
-        else:
-            assert _integer_form(gram)[0][-1] == det
+        singular += det == 0
     assert singular >= 5
-
-
-def test_integer_form_minors_and_norms():
-    # D_k are the leading minors, and the form reproduces x^T G x exactly.
-    from codelattice.enumeration import _integer_form
-
-    rng = random.Random(34)
-    for _ in range(20):
-        lat = construction_a(_random_code(rng))
-        gram = lat.gram
-        n = lat.n
-        dets, a = _integer_form(gram)
-        assert dets == [_fraction_det([row[:k] for row in gram[:k]]) for k in range(n + 1)]
-        for _ in range(5):
-            x = [rng.randint(-3, 3) for _ in range(n)]
-            form = sum(
-                Fraction(
-                    (dets[i + 1] * x[i] + sum(a[i][j] * x[j] for j in range(i + 1, n))) ** 2,
-                    dets[i] * dets[i + 1],
-                )
-                for i in range(n)
-            )
-            assert form == sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
 
 
 def _random_full_rank(rng, n):
@@ -276,6 +237,22 @@ def test_matches_fraction_oracle_on_code_lattices():
         # bounds equal to attained norms put vectors exactly on the boundary
         exact = {v.norm for v in wide[:: max(1, len(wide) // 3)]}
         _assert_matches_oracle(lat, sorted(exact | {1, rng.randint(2, 12)}))
+    # composite and even q; radii >= q**2, where the zero word and nonzero
+    # words have several lifts; and words with q/2 entries, which negation
+    # fixes (the self-negating rule)
+    codes = [
+        LinearCode(4, 4, [[2, 2, 0, 0], [0, 2, 2, 2]]),
+        LinearCode(6, 3, [[3, 3, 0], [2, 4, 2]]),
+        LinearCode(8, 3, [[4, 4, 4], [1, 3, 0]]),
+    ]
+    for q in (4, 6, 8, 9):
+        codes += [_random_code(rng, n_max=4 if q < 8 else 3, q_choices=(q,)) for _ in range(4)]
+    for code in codes:
+        lat = construction_a(code)
+        q = code.q
+        # the walk's modulus divides q: q Z^n lies in every L_C
+        assert q % _modulus(lat) == 0
+        _assert_matches_oracle(lat, (q * q - 1, q * q, q * q + rng.randint(1, 2 * q)))
 
 
 def test_matches_fraction_oracle_on_general_lattices():
@@ -284,6 +261,11 @@ def test_matches_fraction_oracle_on_general_lattices():
         lat, row_norm = _random_full_rank(rng, rng.randint(1, 6))
         # the generating row is a lattice vector lying exactly on the bound
         _assert_matches_oracle(lat, sorted({max(1, row_norm - 1), row_norm, row_norm + 1}))
+    # pivots (2, 2), but Z^2 / L is cyclic of order 4: 2 e_1 is not in L,
+    # so the lcm 2 fails its proof and the walk takes the product 4
+    lat = IntegralLattice.from_rows([[2, 1], [0, 2]])
+    assert _modulus(lat) == 4
+    _assert_matches_oracle(lat, range(1, 26))
 
 
 def test_matches_fraction_oracle_on_e8():

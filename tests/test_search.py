@@ -497,6 +497,15 @@ def test_top_ranks_match_closed_forms():
     assert compared == 117
 
 
+def test_search_within_the_kept_list_builds_no_gram_matrix():
+    # E8 at l = 1 and 2 reads only lambda_1's kept list, so no request
+    # passes its bound and needs the norm grain
+    for l in (1, 2):
+        lat = construction_a(reed_muller_code(1, 3))
+        minimal_sublattice(lat, l)
+        assert lat._gram is None
+
+
 def test_pools_freed_without_cyclic_gc():
     import gc
 
@@ -520,19 +529,15 @@ from codelattice.lattices import construction_a
 
 print(sys.flags.optimize)
 lat = construction_a(parity_check_code(4, 2))
-real_form = enumeration._integer_form
-
-def skewed_form(gram):
-    dets, a = real_form(gram)
-    a[0][1] += 1
-    return dets, a
-
-enumeration._integer_form = skewed_form
+real_isqrt = enumeration.isqrt
+# every coordinate range of the walk overshoots by one, so a vector past the
+# bound reaches the emitted-norm check (budgets left below zero read as 0)
+enumeration.isqrt = lambda r: real_isqrt(max(r, 0)) + 1
 try:
     sublattice_search.minimal_sublattice(lat, 2)
 except enumeration.CertificateError:
     print("norm check raised")
-enumeration._integer_form = real_form
+enumeration.isqrt = real_isqrt
 
 class Forged:
     det_l = 0
