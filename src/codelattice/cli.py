@@ -7,8 +7,9 @@ Code inputs come either from a JSON spec file (--spec) or a named family
 cached on disk keyed by the canonical HNF basis and rank.
 
 Exit codes: 0 success, 1 verify failures, 2 unusable input (parse error, a
-spec document `codes.read_spec` rejects, or an out-of-range argument), 3
-infeasible search (enumeration cap exceeded).
+spec document `codes.read_spec` rejects, an out-of-range argument, or a
+cache location that cannot be a directory), 3 infeasible search
+(enumeration cap exceeded).
 """
 
 from __future__ import annotations
@@ -137,13 +138,14 @@ def _certificate_from_doc(doc: dict, lattice: IntegralLattice, l: int) -> Search
 
 
 def _cache_dir(args) -> str:
-    if args.cache:
-        return args.cache
-    env = os.environ.get("CODELATTICE_CACHE")
-    if env:
-        return env
+    """The cache directory, made if missing; one that cannot be exits 2."""
     base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return os.path.join(base, "codelattice")
+    path = args.cache or os.environ.get("CODELATTICE_CACHE") or os.path.join(base, "codelattice")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:  # FileExistsError: a file is there
+        raise CliError(f"unusable cache directory {path}: {exc.strerror}", EXIT_BAD_INPUT)
+    return path
 
 
 def _cache_key(lattice: IntegralLattice, l: int) -> str:
@@ -387,11 +389,14 @@ def _int_in(lo: int, hi: int | None = None):
     return parse
 
 
+# str() of an integer with more digits raises (0: no limit, as before 3.10.7)
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
 # Arguments as (flag, add_argument keywords).  Every subcommand takes the
 # common ones first; the search commands take the code input and --l.
 _COMMON = (
     ("--format", dict(choices=("text", "json", "csv"), default="text")),
-    ("--precision", dict(type=_int_in(1), default=6, help="decimal display digits (>= 1)")),
+    ("--precision", dict(type=_int_in(1, _MAX_DIGITS or None), default=6, help="decimal display digits")),
     ("--cache", dict(help="certificate cache directory")),
     ("--max-candidates", dict(type=_int_in(1), default=DEFAULT_CAP, help="enumeration cap (>= 1)")),
 )

@@ -299,18 +299,20 @@ def reed_muller_table(m_max: int) -> list[tuple[int, int, int, int, int]]:
 def dual_code(code: LinearCode) -> LinearCode:
     """Dual code, computed through the lattice route and cached on `code`.
 
-    The HNF h of q times the dual basis of L_C spans q L_C* = L_{C dual}, so
-    h is the dual code's lattice and its rows mod q generate the dual code.
-    d_l of L_C* is d_l of that lattice divided by q**(2l).  `verify`
-    compares h with Construction A of the dual code's generators.
+    q times the dual basis of L_C spans q L_C* = L_{C dual}, which holds
+    q Z^n, so its HNF modulo q is the dual code's lattice, its rows mod q
+    generate the dual code, and its det_gram times L_C's is q**(2n) (else
+    CertificateError).  d_l of L_C* is d_l of that lattice divided by
+    q**(2l).  `verify` compares it with Construction A of the dual code.
     """
     if code._dual is None:
         q, n = code.q, code.n
-        h, rank = hnf(dual_basis(code.lattice(), q))
-        if rank != n:
-            raise CertificateError(f"dual basis has rank {rank}, not {n}")
-        code._dual = LinearCode(q, n, [[e % q for e in row] for row in h])
-        code._dual._lattice = IntegralLattice(h)
+        lattice = code.lattice()
+        dual = IntegralLattice(hnf(dual_basis(lattice, q), q))
+        if lattice.det_gram * dual.det_gram != q ** (2 * n):
+            raise CertificateError("det_gram of the code lattice times its dual's is not q^(2n)")
+        code._dual = LinearCode(q, n, [[e % q for e in row] for row in dual.basis])
+        code._dual._lattice = dual
     return code._dual
 
 

@@ -18,11 +18,11 @@ a lattice vector depends on x mod m only:
   coordinates where that fits into the slack B - |w|**2 can move.  The
   second stage walks those, each x_j with x_j**2 <= (slack left) + w_j**2,
   and so never meets a dead end.
-* The modulus.  m is the lcm of the pivots when `dual_basis` proves
-  m B^{-1} integral (m e_j in the lattice for every j), else det B, the
-  product of the pivots, since adj B = det B * B^{-1} is integral.  When
-  m*m > 4B no class holds two vectors of norm <= B, and the walk is the
-  plain ambient walk: every vector is its own word.
+* The modulus.  m is the least with m B^{-1} integral (m e_j in the
+  lattice for every j): d / gcd(d, every entry of d B^{-1} = adj B), where
+  d = det B is the product of the pivots.  When m*m > 4B no class holds
+  two vectors of norm <= B, and the walk is the plain ambient walk: every
+  vector is its own word.
 * One vector per +-pair.  Negation maps words to words and fixes exactly
   the entries 0 and m/2.  While every w_j so far is one of them, the first
   stage keeps w_j >= 0, so it visits one word of each pair {w, -w}.  The
@@ -55,7 +55,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from itertools import chain
+from math import gcd, isqrt, prod
 from operator import attrgetter, mul
 from typing import NamedTuple
 
@@ -157,14 +158,9 @@ def short_vectors(
 
 
 def _modulus(lattice: IntegralLattice) -> int:
-    """An m with m Z^n inside the lattice (module docstring)."""
-    pivots = [lattice.basis[j][j] for j in range(lattice.n)]
-    m = lcm(*pivots)
-    try:
-        dual_basis(lattice, m)
-    except ValueError:
-        return prod(pivots)
-    return m
+    """The least m with m Z^n inside the lattice (module docstring)."""
+    d = prod(lattice.basis[j][j] for j in range(lattice.n))
+    return d // gcd(d, *chain.from_iterable(dual_basis(lattice, d)))
 
 
 def _walk(lattice: IntegralLattice, bound: int, cap: int) -> list[ShortVector]:

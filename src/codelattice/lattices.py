@@ -4,9 +4,10 @@ Everything stays over the integers.  Bases are kept in row-style Hermite
 normal form (upper triangular, positive pivots, entries above each pivot
 reduced into [0, pivot)), which is a canonical form: two descriptions of
 the same lattice produce identical bases, Gram matrices and documents.
-Scaled variants such as a lattice divided by sqrt(q) are never
-materialised; all statements about them are rephrased on the integral
-lattice with exact exponent bookkeeping.
+`hnf` reduces modulo a D with D Z^n inside the lattice, which each builder
+proves, so no entry exceeds D.  Scaled variants such as a lattice divided
+by sqrt(q) are never materialised; all statements about them are
+rephrased on the integral lattice with exact exponent bookkeeping.
 """
 
 from __future__ import annotations
@@ -37,12 +38,7 @@ __all__ = [
 
 
 class RankDeficient(ValueError):
-    """Row span has lower rank than the operation requires."""
-
-    def __init__(self, rank: int, needed: int):
-        self.rank = rank
-        self.needed = needed
-        super().__init__(f"rank {rank} < required rank {needed}")
+    """Rows span less than the rank an operation requires."""
 
 
 class NotInLattice(ValueError):
@@ -91,45 +87,61 @@ def det_int(gram) -> int:
     return prev
 
 
-def hnf(rows) -> tuple[list[list[int]], int]:
-    """Row-style Hermite normal form of the span of integer rows.
-
-    Returns (nonzero rows of the HNF, rank).  Pure integer row reduction:
-    pivots are produced by extended-gcd row operations (unimodular), made
-    positive, and entries above each pivot are reduced into [0, pivot).
-    """
-    work = [list(map(index, r)) for r in rows]
-    if not work:
-        return [], 0
-    n = len(work[0])
-    if any(len(r) != n for r in work):
+def _integer_rows(rows) -> list[list[int]]:
+    """rows as lists of ints (`operator.index`), at least one, of one length."""
+    out = [list(map(index, r)) for r in rows]
+    if not out:
+        raise ValueError("no rows")
+    n = len(out[0])
+    if any(len(r) != n for r in out):
         raise ValueError("ragged matrix")
-    pivot = 0
-    for col in range(n):
-        if pivot == len(work):
-            break
-        row = next((i for i in range(pivot, len(work)) if work[i][col]), None)
-        if row is None:
-            continue
-        work[pivot], work[row] = work[row], work[pivot]
-        for i in range(pivot + 1, len(work)):
-            b = work[i][col]
-            if b == 0:
-                continue
-            a = work[pivot][col]
-            g, x, y = xgcd(a, b)
-            p, r = work[pivot], work[i]
-            work[pivot] = [x * pa + y * ra for pa, ra in zip(p, r)]
-            work[i] = [(a // g) * ra - (b // g) * pa for pa, ra in zip(p, r)]
-        if work[pivot][col] < 0:
-            work[pivot] = [-e for e in work[pivot]]
-        d = work[pivot][col]
-        for i in range(pivot):
-            q = work[i][col] // d
-            if q:
-                work[i] = [e - q * pe for e, pe in zip(work[i], work[pivot])]
-        pivot += 1
-    return work[:pivot], pivot
+    return out
+
+
+def hnf(rows, modulus: int) -> list[list[int]]:
+    """Row-style Hermite normal form of the span L of integer rows, given a
+    modulus D with D Z^n inside L (Cohen, GTM 138, section 2.4.2), which the
+    caller proves: q for a code lattice and its dual, det(R^T R) for rows R.
+
+    Column j starts its pivot p at D e_j and folds in each row r with a
+    nonzero entry at j by one unimodular xgcd step: p takes the gcd d, r
+    the cofactor (a/g) r - (b/g) p, zero at j.  Entries past j are kept mod
+    D, as D e_k lies in L.  Howell's form over Z_D needs the extra row
+    (D/d) p - D e_j; here D e_j is folded in like any row, so the cofactors
+    span it already.  When pivot j is added, column j of the rows above it
+    is reduced into [0, d).  L holds D Z^n, so it has full rank: no row
+    swap, no sign flip, no rank.  D = 0, which only a rank-deficient span
+    forces, raises RankDeficient; any other D gives the HNF of L + D Z^n.
+    """
+    work = _integer_rows(rows)
+    n = len(work[0])
+    mod = abs(index(modulus))
+    if not mod:
+        raise RankDeficient(f"rows span less than rank {n}")
+    work = [[e % mod for e in r] for r in work]
+    basis = []
+    for j in range(n):
+        # p and the working rows hold columns j.. only
+        p = [mod] + [0] * (n - j - 1)
+        rest = []
+        for r in work:
+            if r[0]:
+                g, x, y = xgcd(p[0], r[0])
+                a, b = p[0] // g, r[0] // g
+                p, r = (
+                    [(x * u + y * v) % mod for u, v in zip(p, r)],
+                    [(a * v - b * u) % mod for u, v in zip(p, r)],
+                )
+                p[0] = g
+            if any(r):
+                rest.append(r[1:])
+        work = rest
+        for i, row in enumerate(basis):
+            c = row[j] // p[0]
+            if c:
+                basis[i] = row[:j] + [(u - c * v) % mod for u, v in zip(row[j:], p)]
+        basis.append([0] * j + p)
+    return basis
 
 
 def dual_basis(lattice: IntegralLattice, q: int) -> list[list[int]]:
@@ -189,7 +201,7 @@ class IntegralLattice:
     __slots__ = ("n", "basis", "det_gram", "_gram", "_short")
 
     def __init__(self, basis):
-        """basis must be the row HNF that `hnf` returns for a full-rank span:
+        """basis must be the row HNF that `hnf` returns:
         square, zero below the diagonal, positive pivots, and entries above
         each pivot in [0, pivot).  Use `from_rows` for arbitrary rows."""
         self.basis = tuple(tuple(map(index, row)) for row in basis)
@@ -212,16 +224,14 @@ class IntegralLattice:
 
     @classmethod
     def from_rows(cls, rows) -> "IntegralLattice":
-        """Lattice spanned by integer rows; raises RankDeficient if the
-        span does not have full rank in its ambient dimension."""
-        rows = list(rows)
-        if not rows:
-            raise ValueError("no rows")
-        n = len(rows[0])
-        h, rank = hnf(rows)
-        if rank < n:
-            raise RankDeficient(rank, n)
-        return cls(h)
+        """Lattice L spanned by integer rows R; raises RankDeficient if the
+        span does not have full rank in its ambient dimension.
+
+        The HNF modulus is D = det(R^T R), the sum of the squared n-minors
+        of R (Cauchy-Binet).  Each minor is a multiple of det L, so D Z^n
+        lies in L, and the sum is 0 exactly when the rank is below n."""
+        rows = _integer_rows(rows)
+        return cls(hnf(rows, det_int(gram_matrix(list(zip(*rows))))))
 
     def coefficients_of(self, v) -> list[int] | None:
         """Integer coordinates of v in the basis, or None if not a member."""
@@ -262,14 +272,11 @@ class IntegralLattice:
 def construction_a(code) -> IntegralLattice:
     """Lattice of integer vectors reducing mod q to a codeword of `code`.
 
-    Built as the row span of the lifted generators stacked over q*I_n;
-    always full rank.  The code cardinality is recovered from the basis:
-    |C| = q**n / prod(diagonal).
+    The HNF of the lifted generators modulo q, since q Z^n lies in the
+    lattice; always full rank.  The code cardinality is recovered from the
+    basis: |C| = q**n / prod(diagonal).
     """
-    n, q = code.n, code.q
-    rows = [list(g) for g in code.generators]
-    rows += [[q if j == i else 0 for j in range(n)] for i in range(n)]
-    return IntegralLattice.from_rows(rows)
+    return IntegralLattice(hnf(code.generators or [[0] * code.n], code.q))
 
 
 def is_even(lattice: IntegralLattice) -> bool:
@@ -307,7 +314,7 @@ def sublattice_from_rows(lattice: IntegralLattice, rows) -> Sublattice:
     g = gram_matrix(rows)
     d = det_int(g)
     if d <= 0:
-        raise RankDeficient(len(rows) - 1, len(rows))
+        raise RankDeficient(f"rows span less than rank {len(rows)}")
     return Sublattice(lattice, rows, g, d)
 
 

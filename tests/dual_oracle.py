@@ -22,7 +22,7 @@ def inverse_times(mat, scalar: int) -> list[list[int]]:
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
-            raise RankDeficient(col, n)
+            raise RankDeficient(f"rows span less than rank {n}")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [e * inv for e in aug[col]]

@@ -14,6 +14,7 @@ import pytest
 from codelattice.codes import (
     LinearCode,
     dual_code,
+    read_spec,
     parity_check_code,
     reed_muller_code,
     reed_muller_generators,
@@ -274,3 +275,18 @@ def test_criterion_8_open_constants_statement():
         cell = res.cell(kind, n, l)
         ok = ok and not cell.is_exact()
     _report(8, ok, time.perf_counter() - t0, 60)
+
+
+def test_criterion_9_dense_documents_build_in_seconds():
+    # entries of the HNF stay below its modulus: q for a code, det(R^T R)
+    # for rows, so dense documents inside the size bound build at once
+    t0 = time.perf_counter()
+    rng = random.Random(9)
+    gens = [[rng.randrange(5) for _ in range(64)] for _ in range(32)]
+    code, lat = read_spec({"q": 5, "n": 64, "generators": gens})
+    ok = lat.det_gram == 5 ** (2 * 32) and all(g in lat for g in gens)
+    rows = [[rng.randint(-9, 9) for _ in range(48)] for _ in range(48)]
+    _, rows_lat = read_spec({"rows": rows})
+    # a square R spans a lattice of determinant |det R|: det(R R^T)
+    ok = ok and rows_lat.det_gram == det_int(gram_matrix(rows)) and all(r in rows_lat for r in rows)
+    _report(9, ok, time.perf_counter() - t0, 5, f"Z_5 32x64 and 48x48 rows, n = {lat.n}, {rows_lat.n}")

@@ -349,6 +349,8 @@ def test_precision_flag(cache, capsys):
         ["--l", "1", "--precision", "-1"],
         ["--l", "2", "--max-candidates", "0"],
         ["--l", "2", "--max-candidates", "-5"],
+        # str() of an integer with more digits raises
+        ["--l", "2", "--precision", str(sys.get_int_max_str_digits() + 1)],
     ],
 )
 def test_out_of_range_arguments_exit_2(cache, capsys, extra):
@@ -364,10 +366,30 @@ def test_out_of_range_arguments_exit_2(cache, capsys, extra):
         ["bounds", "--n-max", "11", "--rules", "full"],
         ["rm-table", "--m-max", "0"],
         ["rm-table", "--m-max", "8"],
+        ["bounds", "--precision", "5000"],
     ],
 )
 def test_out_of_range_table_sizes_exit_2(cache, capsys, argv):
     assert f"error: argument {argv[1]}" in _usage_error(capsys, argv)
+
+
+def test_precision_up_to_the_integer_string_limit(cache, capsys):
+    limit = sys.get_int_max_str_digits()
+    argv = ["gamma", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "2"]
+    code, out, _ = _run(capsys, argv + ["--precision", str(limit), "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["value"]["decimal"].replace(".", "")) == limit
+
+
+def test_cache_location_that_is_not_a_directory_exits_2(capsys, tmp_path):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    argv = ["dl", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "2", "--cache"]
+    for path in (not_a_dir, not_a_dir / "below"):
+        code, out, err = _run(capsys, argv + [str(path)])
+        assert code == 2 and out == ""
+        assert f"error: unusable cache directory {path}: " in err
+        assert "warning" not in err and "Traceback" not in err
 
 
 def test_negative_random_codes_exits_2(cache, capsys):

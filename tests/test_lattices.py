@@ -20,6 +20,7 @@ from codelattice.lattices import (
     sublattice_from_rows,
 )
 from dual_oracle import dual_basis as oracle_dual_basis
+from hnf_oracle import hnf as oracle_hnf
 
 
 def _random_code(rng, n_max=6, q_max=5):
@@ -31,24 +32,68 @@ def _random_code(rng, n_max=6, q_max=5):
 
 def test_hnf_examples():
     ident = [[1, 0], [0, 1]]
-    assert hnf(ident) == ([[1, 0], [0, 1]], 2)
+    assert hnf(ident, 1) == [[1, 0], [0, 1]]
     stack = [[1, 0, 1], [0, 1, 1], [2, 0, 0], [0, 2, 0], [0, 0, 2]]
-    assert hnf(stack) == ([[1, 0, 1], [0, 1, 1], [0, 0, 2]], 3)
-    assert hnf([[2, 0], [0, 2], [1, 1]]) == ([[1, 1], [0, 2]], 2)
+    assert hnf(stack, 2) == [[1, 0, 1], [0, 1, 1], [0, 0, 2]]
+    # the generators alone: 2 Z^3 lies in their span with 2 I_3
+    assert hnf(stack[:2], 2) == [[1, 0, 1], [0, 1, 1], [0, 0, 2]]
+    assert hnf([[2, 0], [0, 2], [1, 1]], 2) == [[1, 1], [0, 2]]
+    # a modulus the span does not hold gives the HNF of L + D Z^n
+    assert hnf([[2, 1]], 4) == [[2, 1], [0, 2]]
+    with pytest.raises(RankDeficient):
+        hnf([[1, 2], [2, 4]], 0)
+    assert hnf([[2, 1]], -4) == hnf([[2, 1]], 4)
+    with pytest.raises(ValueError):
+        hnf([], 1)
+    with pytest.raises(ValueError, match="ragged"):
+        hnf([[1, 0], [1]], 1)
 
 
 def test_hnf_canonical_reduction():
-    rows, rank = hnf([[4, 7], [0, 5]])
-    assert rank == 2
+    rows = hnf([[4, 7], [0, 5]], 20)
     # entries above each pivot lie in [0, pivot)
     for j in range(2):
         for i in range(j):
             assert 0 <= rows[i][j] < rows[j][j]
 
 
+def test_hnf_matches_xgcd_oracle():
+    # the kernel modulo D against the xgcd elimination it replaced: codes over
+    # prime and composite q, their duals, and rows whose modulus is det(R^T R)
+    rng = random.Random(13)
+    for _ in range(300):
+        q = rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27))
+        n = rng.randint(1, 7)
+        gens = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
+        code = LinearCode(q, n, gens)
+        ambient = [[q if j == i else 0 for j in range(n)] for i in range(n)]
+        lat = code.lattice()
+        assert list(map(list, lat.basis)) == oracle_hnf([*map(list, code.generators), *ambient])[0]
+        dual = dual_basis(lat, q)
+        assert hnf(dual, q) == oracle_hnf(dual)[0]
+    deficient = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(max(n - 1, 1), n + 3))]
+        h, rank = oracle_hnf(rows)
+        if rank < n:
+            deficient += 1
+            with pytest.raises(RankDeficient):
+                IntegralLattice.from_rows(rows)
+        else:
+            assert list(map(list, IntegralLattice.from_rows(rows).basis)) == h
+    assert 20 < deficient < 280
+
+
 def test_rank_deficient():
-    with pytest.raises(RankDeficient):
+    with pytest.raises(RankDeficient, match="rank 2"):
         IntegralLattice.from_rows([[1, 2], [2, 4]])
+    # fewer rows than columns: det(R^T R) = 0 without any minor to take
+    with pytest.raises(RankDeficient):
+        IntegralLattice.from_rows([[1, 2, 3]])
+    # zip(*rows) would drop the third column of the longer row
+    with pytest.raises(ValueError, match="ragged"):
+        IntegralLattice.from_rows([[1, 0], [0, 1, 5]])
 
 
 @pytest.mark.parametrize(
@@ -59,13 +104,13 @@ def test_rank_deficient():
         pytest.param(lambda: LinearCode(3, 4, [[1.9, 1, 1, 1]]), id="LinearCode-float-generator"),
         pytest.param(lambda: Radical(2, 2.5), id="Radical-float-root"),
         pytest.param(lambda: Radical(2, "3"), id="Radical-str-root"),
-        pytest.param(lambda: hnf([["1", 0], [0, 2]]), id="hnf-str"),
+        pytest.param(lambda: hnf([["1", 0], [0, 2]], 2), id="hnf-str"),
         pytest.param(lambda: IntegralLattice([[1.7, 0], [0, 2.2]]), id="IntegralLattice-float"),
         pytest.param(
             lambda: sublattice_from_rows(IntegralLattice([[1, 0], [0, 1]]), [[1.2, 1.9]]),
             id="sublattice_from_rows-float",
         ),
-        pytest.param(lambda: hnf([[Fraction(2), 0], [0, 1]]), id="hnf-Fraction"),
+        pytest.param(lambda: hnf([[Fraction(2), 0], [0, 1]], 2), id="hnf-Fraction"),
     ],
 )
 def test_constructors_reject_non_integers(build):
@@ -182,8 +227,7 @@ def test_duality_round_trip():
     for _ in range(40):
         code = _random_code(rng, n_max=5, q_max=4)
         lat = construction_a(code)
-        h, rank = hnf(dual_basis(lat, code.q))
-        assert rank == code.n
+        h = hnf(dual_basis(lat, code.q), code.q)
         assert tuple(tuple(r) for r in h) == construction_a(dual_code(code)).basis
 
 
