@@ -15,11 +15,11 @@ from operator import index
 from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap
 from .lattices import (
     IntegralLattice,
+    _reduced,
     construction_a,
     det_int,
     dual_basis,
     gram_matrix,
-    hnf,
 )
 
 __all__ = [
@@ -308,7 +308,7 @@ def dual_code(code: LinearCode) -> LinearCode:
     if code._dual is None:
         q, n = code.q, code.n
         lattice = code.lattice()
-        dual = IntegralLattice(hnf(dual_basis(lattice, q), q))
+        dual = _reduced(dual_basis(lattice, q), q)
         if lattice.det_gram * dual.det_gram != q ** (2 * n):
             raise CertificateError("det_gram of the code lattice times its dual's is not q^(2n)")
         code._dual = LinearCode(q, n, [[e % q for e in row] for row in dual.basis])

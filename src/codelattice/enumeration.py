@@ -12,17 +12,24 @@ a lattice vector depends on x mod m only:
   of its class mod m in (-m/2, m/2].  The sum of the w_j**2 over a prefix
   is the least norm of any completion, and it prunes the walk.  For a
   Construction A lattice m = q, and the words are the codewords' minimal
-  lifts (Conway & Sloane, SPLAG ch. 5 section 2).
+  lifts (Conway & Sloane, SPLAG ch. 5 section 2).  A prefix that spends
+  the whole budget leaves every later entry 0, so its word is completed
+  in one loop (c_k = -P_k / d_k), or dropped at the first d_k that does
+  not divide P_k.
 * The lifts.  The vectors congruent to a word w are w + m z.  Moving x_j
   off w_j costs at least m * (m - 2 |w_j|) more than w_j**2, so only the
   coordinates where that fits into the slack B - |w|**2 can move.  The
   second stage walks those, each x_j with x_j**2 <= (slack left) + w_j**2,
   and so never meets a dead end.
-* The modulus.  m is the least with m B^{-1} integral (m e_j in the
-  lattice for every j): d / gcd(d, every entry of d B^{-1} = adj B), where
-  d = det B is the product of the pivots.  When m*m > 4B no class holds
-  two vectors of norm <= B, and the walk is the plain ambient walk: every
-  vector is its own word.
+* The modulus.  m is the exponent of Z^n / L, the least with m B^{-1}
+  integral (m e_j in the lattice for every j).  The lcm of the pivots
+  divides it, and it divides det B and the modulus D the HNF was reduced
+  by (q for a code lattice), so where those bounds meet the lattice's
+  builder knows m already.  Otherwise the first walk computes
+  m = d / gcd(d, every entry of d B^{-1} = adj B), with d = det B the
+  product of the pivots, and keeps it on the lattice.  When m*m > 4B no
+  class holds two vectors of norm <= B, and the walk is the plain ambient
+  walk: every vector is its own word.
 * One vector per +-pair.  Negation maps words to words and fixes exactly
   the entries 0 and m/2.  While every w_j so far is one of them, the first
   stage keeps w_j >= 0, so it visits one word of each pair {w, -w}.  The
@@ -38,7 +45,8 @@ Three exact rules keep each lattice to about one walk:
 * The norm grain.  x G x^T = sum_i g_ii x_i**2 + sum_{i<j} 2 g_ij x_i x_j,
   so every norm is a multiple of g = gcd(g_ii, 2 g_ij), and a walk to
   g * floor(B / g) lists exactly the vectors of norm <= B.  Only a request
-  past the kept list (below) needs g, and so the Gram matrix.
+  past the kept list (below) needs g.  It is read from the basis rows, and
+  the 2 g_ij only until g <= 2, which divides them all; no Gram matrix.
 * The Hermite start.  Every lattice of rank n has
   (lambda1**2)**n <= gamma_n**n * det, so for n <= 8 (where gamma_n**n is
   known exactly, HERMITE_POWER) lambda1**2 is at most the largest integer b
@@ -57,7 +65,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, prod
-from operator import attrgetter, mul
+from operator import attrgetter, index, itemgetter, mul
 from typing import NamedTuple
 
 from .exact import integer_root
@@ -118,19 +126,26 @@ class ShortVectorList(NamedTuple):
     vectors: list[ShortVector]
 
 
-def _grain(gram) -> int:
-    """gcd of the g_ii and the 2 g_ij: every norm is a multiple of it."""
-    n = len(gram)
-    return gcd(
-        *(gram[i][i] for i in range(n)),
-        *(2 * gram[i][j] for i in range(n) for j in range(i + 1, n)),
-    )
+def _grain(basis) -> int:
+    """gcd of the g_ii and the 2 g_ij of the basis rows' Gram matrix: every
+    norm is a multiple of it.  The row norms g_ii come first, and the
+    2 g_ij (over columns >= j only, the basis being triangular) only while
+    the gcd is above 2, since 1 and 2 divide every 2 g_ij."""
+    g = gcd(*(sum(map(mul, row, row)) for row in basis))
+    for j in range(1, len(basis)):
+        tail = basis[j][j:]
+        for i in range(j):
+            if g <= 2:
+                return g
+            g = gcd(g, 2 * sum(map(mul, basis[i][j:], tail)))
+    return g
 
 
 def short_vectors(
     lattice: IntegralLattice, bound: int, cap: int = DEFAULT_CAP
 ) -> ShortVectorList:
-    """All vectors with 0 < norm <= bound, one representative per +-pair.
+    """All vectors with 0 < norm <= bound, one representative per +-pair;
+    bound and cap are read with `operator.index`.
 
     Representatives have a positive first nonzero coordinate and are sorted
     by (norm, coordinates).  A request within the list `lattice_minimum`
@@ -141,13 +156,14 @@ def short_vectors(
     Every enumerated norm is re-verified by an integer dot product of the
     ambient coordinates; a mismatch raises CertificateError.
     """
+    bound, cap = index(bound), index(cap)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     known = lattice._short
     if known is None:
         return ShortVectorList(bound, _walk(lattice, bound, cap))
     if bound > known.bound:
-        radius = bound - bound % _grain(lattice.gram)
+        radius = bound - bound % _grain(lattice.basis)
         if radius > known.bound:
             return ShortVectorList(bound, _walk(lattice, radius, cap))
     vectors = known.vectors[: bisect_right(known.vectors, bound, key=attrgetter("norm"))]
@@ -158,9 +174,13 @@ def short_vectors(
 
 
 def _modulus(lattice: IntegralLattice) -> int:
-    """The least m with m Z^n inside the lattice (module docstring)."""
-    d = prod(lattice.basis[j][j] for j in range(lattice.n))
-    return d // gcd(d, *chain.from_iterable(dual_basis(lattice, d)))
+    """The least m with m Z^n inside the lattice (module docstring), kept
+    on the lattice."""
+    m = lattice._exponent
+    if m is None:
+        d = prod(lattice.basis[j][j] for j in range(lattice.n))
+        m = lattice._exponent = d // gcd(d, *chain.from_iterable(dual_basis(lattice, d)))
+    return m
 
 
 def _walk(lattice: IntegralLattice, bound: int, cap: int) -> list[ShortVector]:
@@ -169,7 +189,7 @@ def _walk(lattice: IntegralLattice, bound: int, cap: int) -> list[ShortVector]:
     walk = _Walk(lattice.basis, _modulus(lattice), bound, cap)
     walk.words(0, [0] * lattice.n, bound, True)
     out = walk.out
-    out.sort(key=lambda sv: (sv.norm, sv.coords))
+    out.sort(key=itemgetter(1, 0))  # (norm, coords)
     return out
 
 
@@ -203,20 +223,34 @@ class _Walk:
         else:
             lo = (m - 1) // 2
             lo = -s if s < lo else -lo
-        ws = range(lo + (p - lo) % d, hi + 1, d)
-        if j + 1 < len(basis):
-            for w in ws:
-                c = (w - p) // d
-                y = [a + c * b for a, b in zip(x, row)] if c else x
-                self.words(j + 1, y, rest - w * w, self_negating and (w == 0 or w + w == m))
-        else:
-            # the words are complete: list their lifts
-            head = x[:j]
-            for w in ws:
-                word = head + [w]
-                slack = rest - w * w
-                free = [k for k, e in enumerate(word) if m * (m - 2 * abs(e)) <= slack]
-                self.lift(free, 0, word, slack, self_negating and (w == 0 or w + w == m))
+        last = j + 1 == len(basis)
+        for w in range(lo + (p - lo) % d, hi + 1, d):
+            c = (w - p) // d
+            y = [a + c * b for a, b in zip(x, row)] if c else x
+            left = rest - w * w
+            if left and not last:
+                self.words(j + 1, y, left, self_negating and (w == 0 or w + w == m))
+            else:
+                self.leaf(j + 1, y, left, self_negating and (w == 0 or w + w == m))
+
+    def leaf(self, j: int, x: list[int], slack: int, self_negating: bool) -> None:
+        """List the lifts of the word whose first j entries are x[:j]; x[j:]
+        holds the P_k of those entries, and slack the budget they leave,
+        which is 0 unless j = n.  With no budget left every later entry is
+        0: c_k = -P_k / d_k, and no word at all if d_k does not divide P_k;
+        only its entries m/2 are then free."""
+        basis = self.basis
+        for k in range(j, len(basis)):
+            p = x[k]
+            if p:
+                row = basis[k]
+                c, r = divmod(p, row[k])
+                if r:
+                    return
+                x = [a - c * b for a, b in zip(x, row)]
+        m = self.m
+        free = [k for k, e in enumerate(x) if m * (m - 2 * abs(e)) <= slack]
+        self.lift(free, 0, x, slack, self_negating)
 
     def lift(self, free: list[int], i: int, v: list[int], slack: int, positive: bool) -> None:
         """Emit the lifts of the word v that differ from it at free[i:] only;

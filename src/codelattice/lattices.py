@@ -5,8 +5,10 @@ normal form (upper triangular, positive pivots, entries above each pivot
 reduced into [0, pivot)), which is a canonical form: two descriptions of
 the same lattice produce identical bases, Gram matrices and documents.
 `hnf` reduces modulo a D with D Z^n inside the lattice, which each builder
-proves, so no entry exceeds D.  Scaled variants such as a lattice divided
-by sqrt(q) are never materialised; all statements about them are
+proves, so no entry exceeds D.  With the pivots, the same D pins the
+exponent of Z^n / L, the modulus of every enumeration walk, for most
+lattices; it is kept on the lattice.  Scaled variants such as a lattice
+divided by sqrt(q) are never materialised; all statements about them are
 rephrased on the integral lattice with exact exponent bookkeeping.
 """
 
@@ -14,7 +16,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import index
+from math import gcd, lcm, prod
+from operator import index, mul
 
 from .exact import Radical
 
@@ -61,7 +64,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def gram_matrix(rows) -> list[list[int]]:
-    return [[sum(a * b for a, b in zip(u, v)) for v in rows] for u in rows]
+    """The dot products of the rows: one triangle, mirrored."""
+    gram = [[0] * len(rows) for _ in rows]
+    for i, u in enumerate(rows):
+        g = gram[i]
+        for j in range(i, len(rows)):
+            g[j] = gram[j][i] = sum(map(mul, u, rows[j]))
+    return gram
 
 
 def det_int(gram) -> int:
@@ -186,6 +195,17 @@ def _check_hnf(basis) -> None:
                 )
 
 
+def _pinned_exponent(pivots, modulus: int) -> int | None:
+    """The exponent m of Z^n / L, the least m with m Z^n inside L, when the
+    pivots d_j of the HNF of L and a D with D Z^n inside L pin it; else None.
+
+    lcm(d_j) divides m, as m e_j lies in L and the basis is triangular; m
+    divides D; and m divides det B = prod(d_j), as adj B is integral.  So
+    the two bounds meet at m when they are equal."""
+    low = lcm(*pivots)
+    return low if low == gcd(modulus, prod(pivots)) else None
+
+
 class IntegralLattice:
     """Full-rank integral lattice with a canonical HNF basis.
 
@@ -195,10 +215,14 @@ class IntegralLattice:
     that `_short` serves (enumeration walks the basis itself).  `_short`
     caches the `ShortVectorList` that `enumeration.lattice_minimum`
     enumerated for this lattice, from which `enumeration.short_vectors`
-    serves every request within its bound.
+    serves every request within its bound.  `_exponent` holds the
+    exponent of Z^n / L, the modulus of every enumeration walk, once it is
+    known: from the pivots with D = det B here, or with the D a code
+    lattice's builder reduced by (`_reduced`), and otherwise from
+    `enumeration._modulus` on the first walk.
     """
 
-    __slots__ = ("n", "basis", "det_gram", "_gram", "_short")
+    __slots__ = ("n", "basis", "det_gram", "_gram", "_short", "_exponent")
 
     def __init__(self, basis):
         """basis must be the row HNF that `hnf` returns:
@@ -207,12 +231,12 @@ class IntegralLattice:
         self.basis = tuple(tuple(map(index, row)) for row in basis)
         self.n = len(self.basis)
         _check_hnf(self.basis)
-        d = 1
-        for i in range(self.n):
-            d *= self.basis[i][i]
+        pivots = [self.basis[i][i] for i in range(self.n)]
+        d = prod(pivots)
         self.det_gram = d * d
         self._gram = None
         self._short = None
+        self._exponent = _pinned_exponent(pivots, d)
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
@@ -229,7 +253,8 @@ class IntegralLattice:
 
         The HNF modulus is D = det(R^T R), the sum of the squared n-minors
         of R (Cauchy-Binet).  Each minor is a multiple of det L, so D Z^n
-        lies in L, and the sum is 0 exactly when the rank is below n."""
+        lies in L, and the sum is 0 exactly when the rank is below n.  D is
+        a multiple of det B**2, so it pins no exponent the pivots do not."""
         rows = _integer_rows(rows)
         return cls(hnf(rows, det_int(gram_matrix(list(zip(*rows))))))
 
@@ -269,6 +294,18 @@ class IntegralLattice:
         return f"IntegralLattice(n={self.n}, det_gram={self.det_gram})"
 
 
+def _reduced(rows, modulus: int) -> IntegralLattice:
+    """The lattice of `hnf(rows, modulus)`, its exponent pinned by D, the
+    modulus, where the pivots allow.  That HNF spans L + D Z^n, so D Z^n
+    lies in the lattice whatever D is; a caller never supplies D to the
+    lattice itself, as a wrong one would give a wrong walk modulus."""
+    lattice = IntegralLattice(hnf(rows, modulus))
+    if lattice._exponent is None:
+        pivots = [lattice.basis[i][i] for i in range(lattice.n)]
+        lattice._exponent = _pinned_exponent(pivots, modulus)
+    return lattice
+
+
 def construction_a(code) -> IntegralLattice:
     """Lattice of integer vectors reducing mod q to a codeword of `code`.
 
@@ -276,7 +313,7 @@ def construction_a(code) -> IntegralLattice:
     lattice; always full rank.  The code cardinality is recovered from the
     basis: |C| = q**n / prod(diagonal).
     """
-    return IntegralLattice(hnf(code.generators or [[0] * code.n], code.q))
+    return _reduced(code.generators or [[0] * code.n], code.q)
 
 
 def is_even(lattice: IntegralLattice) -> bool:

@@ -43,7 +43,10 @@ holds every vector of norm <= R(d_l): the reported value is exact.  As the
 value only falls, r never exceeds R(u0), the radius a single pool sized
 from u0 would need.
 Pools within the radius `lattice_minimum` enumerated are prefixes of its
-list, so on most lattices only pools beyond it need a walk.
+list, so on most lattices only pools beyond it need a walk.  A pool that
+holds no more vectors than the last one, as the norm grain rounded its
+radius back, is that same list; its walk at the same value would repeat
+the last one, so the value, witness and leaf count stand.
 
 The last walk of the final pool is the confirm scan: a fixed-threshold
 walk at the budget gamma_l**l * value that found no leaf below the value.
@@ -81,7 +84,7 @@ mismatch raises CertificateError too.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import mul
+from operator import index, mul
 
 from .enumeration import DEFAULT_CAP, HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
 from .lattices import (
@@ -292,13 +295,15 @@ def minimal_sublattice(
 ) -> SearchCertificate:
     """Exact minimal rank-l sublattice determinant with a certified witness.
 
-    l is capped at 4, the range where the norm-product budget gamma_l**l is
-    valid.  upper_hint, when given, must be a valid upper bound on the
-    answer; it changes neither the value nor the witness.  No caller in
-    this package passes it.  It stays only because the benchmark harness
-    (perfbench) passes q**(2l), and a benchmark-only change removes it
-    together with SearchCertificate.confirmed_by_escalation.
+    l and cap are read with `operator.index`; l is capped at 4, the range
+    where the norm-product budget gamma_l**l is valid.  upper_hint, when
+    given, must be a valid upper bound on the answer; it changes neither
+    the value nor the witness.  No caller in this package passes it.  It
+    stays only because the benchmark harness (perfbench) passes q**(2l),
+    and a benchmark-only change removes it together with
+    SearchCertificate.confirmed_by_escalation.
     """
+    l, cap = index(l), index(cap)
     n = lattice.n
     if not 1 <= l <= min(4, n):
         raise ValueError(f"l must be in [1, {min(4, n)}], got {l}")
@@ -312,11 +317,14 @@ def minimal_sublattice(
 
     # Grow the pool from lambda_1 (module docstring); r <= _radius(u0).  The
     # last walk of the last pool is the confirm scan, or on the Hermite
-    # floor the walk to the first hit; either gives the witness.
-    r, value = lam, u0
+    # floor the walk to the first hit; either gives the witness.  A pool no
+    # larger than the last one is the same list, and is not walked again.
+    r, value, scan = lam, u0, None
     while True:
-        scan = _Scan(short_vectors(lattice, r, cap).vectors, l)
-        value = scan.run(value, floor)
+        pool = short_vectors(lattice, r, cap).vectors
+        if scan is None or len(pool) > len(scan.norms):
+            scan = _Scan(pool, l)
+            value = scan.run(value, floor)
         bv = _radius(value, lam, l)
         if bv <= r:
             break

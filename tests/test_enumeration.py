@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
-from codelattice.codes import LinearCode, parity_check_code, reed_muller_code
+from codelattice.codes import LinearCode, dual_code, parity_check_code, reed_muller_code
 from codelattice.enumeration import (
     HERMITE_POWER,
     EnumerationCap,
@@ -15,7 +15,7 @@ from codelattice.enumeration import (
     lattice_minimum,
     short_vectors,
 )
-from codelattice.lattices import IntegralLattice, RankDeficient, construction_a
+from codelattice.lattices import IntegralLattice, RankDeficient, construction_a, dual_basis
 from enumeration_oracle import fraction_short_vectors
 
 
@@ -173,6 +173,20 @@ def test_cap_exceeded():
 def test_bad_bound():
     with pytest.raises(ValueError):
         short_vectors(_zn(2), 0)
+    # bound and cap are read as integers at entry, so a fresh walk and the
+    # kept list give the same answer
+    for fresh in (True, False):
+        lat = construction_a(reed_muller_code(1, 3))
+        if not fresh:
+            lattice_minimum(lat)
+        for bad in (4.5, 4.0, "4", None):
+            with pytest.raises(TypeError):
+                short_vectors(lat, bad)
+        with pytest.raises(TypeError):
+            short_vectors(lat, 4, 10.0)
+        one = short_vectors(lat, True)
+        assert one == ShortVectorList(1, []) and type(one.bound) is int
+        assert len(short_vectors(lat, 4).vectors) == 120
 
 
 def _fraction_det(m):
@@ -262,15 +276,101 @@ def test_matches_fraction_oracle_on_general_lattices():
         # the generating row is a lattice vector lying exactly on the bound
         _assert_matches_oracle(lat, sorted({max(1, row_norm - 1), row_norm, row_norm + 1}))
     # pivots (2, 2), but Z^2 / L is cyclic of order 4: 2 e_1 is not in L,
-    # so the lcm 2 fails its proof and the walk takes the product 4
-    lat = IntegralLattice.from_rows([[2, 1], [0, 2]])
-    assert _modulus(lat) == 4
-    _assert_matches_oracle(lat, range(1, 26))
+    # so the pivots do not pin the exponent (lcm 2; product and D 4) and
+    # the walk takes it from the dual basis.  L is also L_C for the code
+    # C = <(2, 1)> over Z_4, whose builder reduces by D = q = 4.
+    for lat in (IntegralLattice.from_rows([[2, 1], [0, 2]]), construction_a(LinearCode(4, 2, [[2, 1]]))):
+        assert lat.basis == ((2, 1), (0, 2)) and lat._exponent is None
+        assert _modulus(lat) == 4
+        _assert_matches_oracle(lat, range(1, 26))
+
+
+def _dual_basis_exponent(lat):
+    """The least m with m B^-1 integral: d / gcd(d, every entry of d B^-1)."""
+    d = 1
+    for j in range(lat.n):
+        d *= lat.basis[j][j]
+    return d // gcd(d, *(e for row in dual_basis(lat, d) for e in row))
+
+
+def test_exponent_matches_the_dual_basis_formula():
+    # codes over composite and prime q, their duals, rows lattices and the
+    # same bases through the bare constructor: wherever the pivots pin the
+    # exponent it is the formula's, and the walk's modulus always is
+    rng = random.Random(41)
+    lats = []
+    for _ in range(150):
+        code = _random_code(rng, n_max=8, q_choices=tuple(range(2, 28)))
+        lats += [("code", code.lattice()), ("dual", dual_code(code).lattice())]
+    lats += [("rows", _random_full_rank(rng, rng.randint(1, 5))[0]) for _ in range(60)]
+    lats += [("basis", IntegralLattice(lat.basis)) for _, lat in lats[:120]]
+    pinned = dict.fromkeys(("code", "dual", "rows", "basis"), 0)
+    for kind, lat in lats:
+        exact = _dual_basis_exponent(lat)
+        if lat._exponent is not None:
+            assert lat._exponent == exact, (kind, lat.basis)
+            pinned[kind] += 1
+        assert _modulus(lat) == exact == lat._exponent, (kind, lat.basis)
+    # q pins nearly every code lattice and its dual; det B alone fewer
+    assert pinned["code"] >= 140 and pinned["dual"] >= 140, pinned
+    assert pinned["rows"] >= 40 and pinned["basis"] >= 40, pinned
+
+
+def test_unpinned_exponent_is_computed_once(monkeypatch):
+    from codelattice import enumeration
+
+    calls = []
+
+    def counted(lattice, q):
+        calls.append(q)
+        return dual_basis(lattice, q)
+
+    monkeypatch.setattr(enumeration, "dual_basis", counted)
+    lat = construction_a(LinearCode(4, 2, [[2, 1]]))
+    # no kept list: both requests walk
+    _assert_matches_oracle(lat, (5, 9))
+    assert calls == [4] and lat._exponent == 4
+    # a pinned exponent needs no dual basis at all
+    short_vectors(construction_a(reed_muller_code(1, 3)), 4)
+    assert calls == [4]
+
+
+def _words_calls(monkeypatch, lat):
+    from codelattice import enumeration
+
+    calls = [0]
+    words = enumeration._Walk.words
+
+    def counted(self, *args):
+        calls[0] += 1
+        return words(self, *args)
+
+    monkeypatch.setattr(enumeration._Walk, "words", counted)
+    lattice_minimum(lat)
+    monkeypatch.setattr(enumeration._Walk, "words", words)
+    return calls[0]
+
+
+def test_spent_budget_ends_the_words(monkeypatch):
+    # once a prefix spends the whole budget every later entry is 0, so the
+    # word is completed in one loop instead of one call per coordinate
+    lat = construction_a(reed_muller_code(1, 4))
+    assert _words_calls(monkeypatch, lat) <= 82
+    assert len(lat._short.vectors) == 16
+    lat = construction_a(parity_check_code(128, 2))
+    assert _words_calls(monkeypatch, lat) <= 16_257
+    assert (lat._short.bound, len(lat._short.vectors)) == (2, 128 * 127)
 
 
 def test_matches_fraction_oracle_on_e8():
     lat = construction_a(reed_muller_code(1, 3))
     _assert_matches_oracle(lat, (4, 7, 8))
+
+
+def _gram_grain(gram):
+    """gcd of the g_ii and the 2 g_ij over the whole Gram matrix."""
+    n = len(gram)
+    return gcd(*(gram[i][i] for i in range(n)), *(2 * gram[i][j] for i in range(n) for j in range(i + 1, n)))
 
 
 def _grain_cases():
@@ -284,13 +384,30 @@ def _grain_cases():
     ]
     for _ in range(6):
         lat = construction_a(_random_code(rng, n_max=5, q_choices=(2, 3)))
-        cases.append((lat, _grain(lat.gram)))
+        cases.append((lat, _gram_grain(lat.gram)))
     return cases
+
+
+def test_row_grain_matches_the_gram_grain():
+    # the grain read from the basis rows, stopping once it is <= 2, is the
+    # gcd over the whole Gram matrix; the row norms alone give 9 and 3 for
+    # the first two lattices, and 2 g_01 = 12 and 20 bring them to 3 and 1
+    rng = random.Random(40)
+    lats = [
+        IntegralLattice([[2, 2, 1], [0, 3, 0], [0, 0, 3]]),
+        IntegralLattice([[4, 2, 0, 1], [0, 4, 1, 2], [0, 0, 3, 0], [0, 0, 0, 3]]),
+        construction_a(parity_check_code(4, 2)),
+    ]
+    lats += [construction_a(_random_code(rng, n_max=8, q_choices=(2, 3, 4, 6, 8))) for _ in range(60)]
+    lats += [_random_full_rank(rng, rng.randint(1, 5))[0] for _ in range(60)]
+    for lat in lats:
+        assert _grain(lat.basis) == _gram_grain(lat.gram), lat.basis
+    assert [_grain(lat.basis) for lat in lats[:3]] == [3, 1, 2]
 
 
 def test_grain_rounding_lists_the_unrounded_walk():
     for lat, grain in _grain_cases():
-        assert _grain(lat.gram) == grain
+        assert _grain(lat.basis) == grain
         for bound in range(1, 2 * grain + 2):
             got = short_vectors(IntegralLattice(lat.basis), bound)
             assert got == ShortVectorList(bound, _walk(lat, bound, 10_000_000))
@@ -299,7 +416,7 @@ def test_grain_rounding_lists_the_unrounded_walk():
 
 def test_bound_below_grain_is_empty():
     lat = construction_a(reed_muller_code(1, 4))
-    assert _grain(lat.gram) == 4
+    assert _grain(lat.basis) == 4
     for bound in (1, 2, 3):
         assert short_vectors(lat, bound) == ShortVectorList(bound, [])
     lattice_minimum(lat)  # the same answer from the kept list

@@ -283,6 +283,13 @@ def test_rank_validation():
         minimal_sublattice(lat, 4)  # exceeds dimension
     with pytest.raises(ValueError):
         minimal_sublattice(_zn(5), 5)  # beyond the validated budget
+    # rank and cap are read as integers at entry, not deep inside a walk
+    for bad in (2.0, "2", None):
+        with pytest.raises(TypeError):
+            minimal_sublattice(construction_a(reed_muller_code(1, 3)), bad)
+    with pytest.raises(TypeError):
+        minimal_sublattice(lat, 2, cap=100.0)
+    assert minimal_sublattice(lat, True).value == 1
 
 
 def test_rank2_code_bound_examples():
@@ -506,6 +513,30 @@ def test_search_within_the_kept_list_builds_no_gram_matrix():
         assert lat._gram is None
 
 
+def test_unchanged_pool_is_scanned_once(monkeypatch):
+    # L_RM(1,4) at l = 2: lambda_1's pool of 16 vectors gives the value 16
+    # and the radius 5, which the grain 4 rounds back to the same 16
+    # vectors, so the walk at 16 is not repeated; nor is the Gram matrix
+    # built, as the grain comes from the basis rows
+    from codelattice import sublattice_search
+
+    scans = []
+
+    class Counted(sublattice_search._Scan):
+        __slots__ = ()
+
+        def __init__(self, vectors, l):
+            scans.append(len(vectors))
+            super().__init__(vectors, l)
+
+    monkeypatch.setattr(sublattice_search, "_Scan", Counted)
+    lat = construction_a(reed_muller_code(1, 4))
+    cert = minimal_sublattice(lat, 2)
+    assert scans == [16]
+    assert (cert.value, cert.per_vector_bound, cert.candidates_examined) == (16, 5, 120)
+    assert lat._gram is None
+
+
 def test_pools_freed_without_cyclic_gc():
     import gc
 
@@ -530,9 +561,11 @@ from codelattice.lattices import construction_a
 print(sys.flags.optimize)
 lat = construction_a(parity_check_code(4, 2))
 real_isqrt = enumeration.isqrt
-# every coordinate range of the walk overshoots by one, so a vector past the
-# bound reaches the emitted-norm check (budgets left below zero read as 0)
-enumeration.isqrt = lambda r: real_isqrt(max(r, 0)) + 1
+# every coordinate range of the walk overshoots by two, one step of the
+# modulus 2, so a lift past the bound reaches the emitted-norm check
+# (budgets left below zero read as 0); an overshoot by one no longer does,
+# as a word that spends its budget is completed with zeros
+enumeration.isqrt = lambda r: real_isqrt(max(r, 0)) + 2
 try:
     sublattice_search.minimal_sublattice(lat, 2)
 except enumeration.CertificateError:
