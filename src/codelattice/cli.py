@@ -27,6 +27,7 @@ from . import __version__
 from .codes import (
     FAMILIES,
     FAMILY_KEYS,
+    MAX_LENGTH,
     code_document,
     document_int,
     is_self_dual,
@@ -42,12 +43,7 @@ from .invariants import (
     standard_seeds,
 )
 from .lattices import IntegralLattice, canonical_json, lattice_document
-from .sublattice_search import (
-    SEARCH_VERSION,
-    SearchCertificate,
-    check_certificate,
-    minimal_sublattice,
-)
+from .sublattice_search import MAX_RANK, SEARCH_VERSION, SearchCertificate, minimal_sublattice
 
 # Imported here, not on first use: perfbench reads `codelattice.verify.CHECKS`
 # as an attribute of the package after importing cli.
@@ -124,10 +120,10 @@ def _certificate_doc(cert: SearchCertificate, **after_value) -> dict:
 
 def _certificate_from_doc(doc: dict, lattice: IntegralLattice, l: int) -> SearchCertificate:
     """Inverse of `_certificate_doc`: integer fields only, for rank l, and a
-    witness that `check_certificate` accepts for `lattice`."""
+    witness that the `SearchCertificate` constructor accepts for `lattice`."""
     if document_int(doc["l"], "l") != l:
         raise ValueError(f"certificate is for rank {doc['l']}, not {l}")
-    return check_certificate(
+    return SearchCertificate(
         lattice,
         l,
         document_int(doc["value"], "value"),
@@ -406,7 +402,7 @@ _CODE_INPUT = (
     *((f"--{key}", dict(type=int)) for key in FAMILY_KEYS),
 )
 _SEARCH = _CODE_INPUT + (
-    ("--l", dict(type=_int_in(1, 4), required=True, help="sublattice rank, 1..4")),
+    ("--l", dict(type=_int_in(1, MAX_RANK), required=True, help=f"sublattice rank, 1..{MAX_RANK}")),
 )
 
 # name, help, handler, arguments after the common ones
@@ -420,7 +416,7 @@ _COMMANDS = (
         ("--rules", dict(choices=("published", "full"), default="published")),
     )),
     ("rm-table", "Reed-Muller determinant table", _cmd_rm_table, (
-        ("--m-max", dict(type=_int_in(1, 7), default=5)),
+        ("--m-max", dict(type=_int_in(1, MAX_LENGTH.bit_length() - 1), default=5)),
     )),
     ("verify", "run the reproduction checks", _cmd_verify, (
         ("--filter", dict()),

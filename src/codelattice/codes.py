@@ -49,12 +49,14 @@ class LinearCode:
     """Linear code over Z_q given by generator rows (entries in [0, q)).
 
     Immutable; the Construction A lattice, the dual code and the weight
-    report are computed once on demand and cached.
+    report are computed once on demand and cached.  family and params are
+    None unless one of the FAMILIES constructors built the code, which sets
+    them to its name and its parameters by name (`_labelled`).
     """
 
     __slots__ = ("q", "n", "generators", "family", "params", "_lattice", "_dual", "_weights")
 
-    def __init__(self, q: int, n: int, generators, family=None, params=None):
+    def __init__(self, q: int, n: int, generators):
         q = index(q)
         n = index(n)
         if q < 2:
@@ -71,8 +73,8 @@ class LinearCode:
         self.q = q
         self.n = n
         self.generators = tuple(rows)
-        self.family = family
-        self.params = dict(params) if params else None
+        self.family = None
+        self.params = None
         self._lattice = None
         self._dual = None
         self._weights = None
@@ -191,6 +193,13 @@ def _weights(code: LinearCode) -> WeightReport:
 # -- named families -------------------------------------------------------
 
 
+def _labelled(code: LinearCode, family: str, **params) -> LinearCode:
+    """code, labelled as the one the `family` constructor built from params."""
+    code.family = family
+    code.params = {name: index(value) for name, value in params.items()}
+    return code
+
+
 def parity_check_code(n: int, q: int) -> LinearCode:
     """Words (c_1, ..., c_{n-1}, sum c_i); generator matrix [I_{n-1} | 1]."""
     if n < 2:
@@ -201,7 +210,7 @@ def parity_check_code(n: int, q: int) -> LinearCode:
         row[i] = 1
         row[n - 1] = 1
         rows.append(row)
-    return LinearCode(q, n, rows, family="parity_check", params={"n": n, "q": q})
+    return _labelled(LinearCode(q, n, rows), "parity_check", n=n, q=q)
 
 
 def reed_muller_generators(r: int, m: int) -> list[list[int]]:
@@ -229,13 +238,8 @@ def reed_muller_generators(r: int, m: int) -> list[list[int]]:
 
 
 def reed_muller_code(r: int, m: int) -> LinearCode:
-    return LinearCode(
-        2,
-        1 << m,
-        reed_muller_generators(r, m),
-        family="reed_muller",
-        params={"r": r, "m": m},
-    )
+    code = LinearCode(2, 1 << m, reed_muller_generators(r, m))
+    return _labelled(code, "reed_muller", r=r, m=m)
 
 
 _EXTENDED_HAMMING_ROWS = (
@@ -248,16 +252,16 @@ _EXTENDED_HAMMING_ROWS = (
 
 def extended_hamming_code() -> LinearCode:
     """The [8, 4] extended binary Hamming code (self-dual, |C| = 16)."""
-    return LinearCode(2, 8, _EXTENDED_HAMMING_ROWS, family="extended_hamming")
+    return _labelled(LinearCode(2, 8, _EXTENDED_HAMMING_ROWS), "extended_hamming")
 
 
 def full_code(n: int, q: int) -> LinearCode:
     rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return LinearCode(q, n, rows, family="full", params={"n": n, "q": q})
+    return _labelled(LinearCode(q, n, rows), "full", n=n, q=q)
 
 
 def zero_code(n: int, q: int) -> LinearCode:
-    return LinearCode(q, n, (), family="zero", params={"n": n, "q": q})
+    return _labelled(LinearCode(q, n, ()), "zero", n=n, q=q)
 
 
 # family name -> (constructor, names of its parameters in argument order)

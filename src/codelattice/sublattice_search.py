@@ -77,8 +77,8 @@ gamma_l**l * value whose determinant is the value.  That depends only on
 the lattice and the proven value, so caching never changes the returned
 value or witness.  u0 is the determinant of a sublattice, so a last walk
 without a hit is a defect and raises CertificateError.  The witness is
-re-checked by `check_certificate`, as every cached certificate is; a
-mismatch raises CertificateError too.
+re-checked by the `SearchCertificate` constructor, as every cached
+certificate is; a mismatch raises CertificateError too.
 """
 
 from __future__ import annotations
@@ -87,18 +87,18 @@ from bisect import bisect_right
 from operator import index, mul
 
 from .enumeration import DEFAULT_CAP, HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
-from .lattices import (
-    IntegralLattice,
-    det_int,
-    gram_matrix,
-    sublattice_from_rows,
-)
+from .lattices import IntegralLattice, Sublattice, det_int, gram_matrix
 
-__all__ = ["SearchCertificate", "check_certificate", "minimal_sublattice", "rank2_code_bound"]
+__all__ = ["MAX_RANK", "SearchCertificate", "minimal_sublattice", "rank2_code_bound"]
 
 # Bumped whenever the search changes what a certificate reports; part of the
 # CLI cache key, so entries of an older search are recomputed, not served.
 SEARCH_VERSION = 3
+
+# The largest searchable rank: the norm-product budget needs a minimising
+# sublattice with a basis of successive minima, which exists for rank <= 4
+# (van der Waerden, Acta Math. 96, 1956).
+MAX_RANK = 4
 
 
 class SearchCertificate:
@@ -113,6 +113,13 @@ class SearchCertificate:
     floor proves the value, the leaves evaluated before the walk stopped at
     its first hit, at most the confirm scan's count.
 
+    The constructor, which the search and the cache loader both call, reads
+    the integers with `operator.index` and proves that `rows` are l members
+    of `lattice` spanning a sublattice of Gram determinant `value` (else
+    CertificateError, NotInLattice or RankDeficient).  That proves
+    value >= d_l, not value == d_l; per_vector_bound and examined are stored
+    as given.
+
     The class constant confirmed_by_escalation is always True, as every
     returned value is proven.  No certificate document carries it; it stays
     only because the benchmark harness reads it, and a benchmark-only
@@ -123,12 +130,20 @@ class SearchCertificate:
 
     confirmed_by_escalation = True
 
-    def __init__(self, l, value, witness, per_vector_bound, examined):
+    def __init__(self, lattice: IntegralLattice, l, value, rows, per_vector_bound, examined):
+        l, value = index(l), index(value)
+        if len(rows) != l:
+            raise CertificateError(f"witness has {len(rows)} rows, not {l}")
+        witness = Sublattice(lattice, rows)
+        if witness.det_l != value:
+            raise CertificateError(
+                f"witness determinant {witness.det_l} differs from the value {value}"
+            )
         self.l = l
         self.value = value
         self.witness = witness
-        self.per_vector_bound = per_vector_bound
-        self.candidates_examined = examined
+        self.per_vector_bound = index(per_vector_bound)
+        self.candidates_examined = index(examined)
 
     def __repr__(self) -> str:
         return f"SearchCertificate(l={self.l}, value={self.value})"
@@ -142,10 +157,11 @@ def _hermite_floor(lam: int, l: int) -> int:
 
 
 def _radius(upper: int, lam: int, l: int) -> int:
-    """floor(gamma_l**l * upper / lam**(l-1)), at least lam: the largest
-    norm a tuple within the budget at upper can hold."""
+    """floor(gamma_l**l * upper / lam**(l-1)): the largest norm a tuple
+    within the budget at upper can hold.  It is at least lam whenever upper
+    is at least the Hermite floor, as every valid upper bound is."""
     g = HERMITE_POWER[l]
-    return max((g.numerator * upper) // (g.denominator * lam ** (l - 1)), lam)
+    return (g.numerator * upper) // (g.denominator * lam ** (l - 1))
 
 
 def _extend(det, adj, u, n):
@@ -295,8 +311,8 @@ def minimal_sublattice(
 ) -> SearchCertificate:
     """Exact minimal rank-l sublattice determinant with a certified witness.
 
-    l and cap are read with `operator.index`; l is capped at 4, the range
-    where the norm-product budget gamma_l**l is valid.  upper_hint, when
+    l and cap are read with `operator.index`; l is at most MAX_RANK, the
+    range where the norm-product budget gamma_l**l is valid.  upper_hint, when
     given, must be a valid upper bound on the answer; it changes neither
     the value nor the witness.  No caller in this package passes it.  It
     stays only because the benchmark harness (perfbench) passes q**(2l),
@@ -305,8 +321,8 @@ def minimal_sublattice(
     """
     l, cap = index(l), index(cap)
     n = lattice.n
-    if not 1 <= l <= min(4, n):
-        raise ValueError(f"l must be in [1, {min(4, n)}], got {l}")
+    if not 1 <= l <= min(MAX_RANK, n):
+        raise ValueError(f"l must be in [1, {min(MAX_RANK, n)}], got {l}")
     lam, _ = lattice_minimum(lattice)
     u0 = det_int(gram_matrix(lattice.basis[:l]))
     if upper_hint is not None:
@@ -334,25 +350,7 @@ def minimal_sublattice(
             f"no rank-{l} sublattice of determinant {value} within the budget "
             "(is upper_hint below the minimum?)"
         )
-    return check_certificate(lattice, l, value, scan.key, bv, scan.leaves)
-
-
-def check_certificate(
-    lattice: IntegralLattice, l: int, value: int, rows, per_vector_bound: int, examined: int
-) -> SearchCertificate:
-    """The certificate the search and the cache loader return, once `rows`
-    are proven to be l members of `lattice` spanning a sublattice of Gram
-    determinant `value` (else CertificateError, NotInLattice or
-    RankDeficient).  That proves value >= d_l, not value == d_l; the other
-    two fields are stored as given."""
-    if len(rows) != l:
-        raise CertificateError(f"witness has {len(rows)} rows, not {l}")
-    witness = sublattice_from_rows(lattice, rows)
-    if witness.det_l != value:
-        raise CertificateError(
-            f"witness determinant {witness.det_l} differs from the value {value}"
-        )
-    return SearchCertificate(l, value, witness, per_vector_bound, examined)
+    return SearchCertificate(lattice, l, value, scan.key, bv, scan.leaves)
 
 
 def rank2_code_bound(code) -> int:

@@ -54,6 +54,7 @@ from .invariants import (
 )
 from .lattices import (
     IntegralLattice,
+    Sublattice,
     canonical_json,
     construction_a,
     det_int,
@@ -61,7 +62,6 @@ from .lattices import (
     gamma_ratio,
     gram_matrix,
     is_even,
-    sublattice_from_rows,
 )
 from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap, lattice_minimum
 from .sublattice_search import minimal_sublattice, rank2_code_bound
@@ -325,7 +325,7 @@ def _check_rm_first_order(ctx):
         claims.append((f"gamma({n},1)={expect}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
     # rank-2 subratio 3 at m=3; the Rankin invariant itself is 3 there
     lat3, prime3 = lats[3], _first_order_allones_rows(3)
-    sub = sublattice_from_rows(lat3, [prime3[1], prime3[2]])
+    sub = Sublattice(lat3, [prime3[1], prime3[2]])
     claims.append(("ratio(8,2)=3", f"ratio(8,2)={gamma_ratio(lat3, sub)}"))
     cert2 = minimal_sublattice(lat3, 2, cap=ctx.cap)
     claims.append(("gamma(8,2)=3", f"gamma(8,2)={rankin_invariant(lat3, cert2)}"))
@@ -342,14 +342,14 @@ def _check_rm_first_order(ctx):
         f"m=4 min cand={best} ({cands['2Z^2']} < {cands['rows no1']} <= {cands['rows with1']})",
     ))
     rows2z = [[2 if j == 0 else 0 for j in range(16)], [2 if j == 1 else 0 for j in range(16)]]
-    sub2z = sublattice_from_rows(lat4, rows2z)
+    sub2z = Sublattice(lat4, rows2z)
     # det quotient: 16 / (2^22)^(1/8) = 2^(5/4)
     claims.append(
         (f"ratio(16,2)={Radical(2) ** Fraction(5, 4)}", f"ratio(16,2)={gamma_ratio(lat4, sub2z)}")
     )
     # l = 3, 4 at m = 3: both subratios are 4
     for l in (3, 4):
-        sub_l = sublattice_from_rows(lat3, prime3[:l])
+        sub_l = Sublattice(lat3, prime3[:l])
         claims.append((f"ratio(8,{l})=4", f"ratio(8,{l})={gamma_ratio(lat3, sub_l)}"))
     return claims
 
@@ -390,11 +390,11 @@ def _check_rm_last_order(ctx):
         expect1 = Radical(Fraction(2 ** n, 4), n)  # 2 / 2^(2/n)
         claims.append((f"gamma({n},1)={expect1}", f"gamma({n},1)={rankin_invariant(lat, cert1)}"))
         prime = _first_order_allones_rows(m)
-        sub2 = sublattice_from_rows(lat, [prime[1], prime[2]])
+        sub2 = Sublattice(lat, [prime[1], prime[2]])
         expect2 = Radical(Fraction((3 * 4 ** (m - 2)) ** n, 16), n)
         claims.append((f"ratio({n},2)={expect2}", f"ratio({n},2)={gamma_ratio(lat, sub2)}"))
         if m >= 3:
-            sub3 = sublattice_from_rows(lat, prime[:3])
+            sub3 = Sublattice(lat, prime[:3])
             expect3 = Radical(Fraction((4 * 2 ** (3 * (m - 2))) ** n, 4 ** 3), n)
             claims.append((f"ratio({n},3)={expect3}", f"ratio({n},3)={gamma_ratio(lat, sub3)}"))
     # at m=2 the rank-2 upper bound from the subratio is attained: 3/2

@@ -75,6 +75,8 @@ def test_entry_with_escalation_field_is_served(cache, capsys):
         pytest.param({"per_vector_bound": True}, id="bool-bound"),
         pytest.param({"candidates_examined": 11.9}, id="float-count"),
         pytest.param({"value": 3.0}, id="float-value"),
+        # the stored witness has determinant 3
+        pytest.param({"value": 2}, id="value-below-witness"),
     ],
 )
 def test_entry_of_the_wrong_shape_is_recomputed(cache, capsys, edit):

@@ -279,6 +279,22 @@ def test_family_table_dispatch():
         code = code_from_document({"family": family, **{name: params[name] for name in names}})
         assert code == make(*args)
         assert code.family == family
+        # the label a family constructor sets reads back to the same lattice
+        again = code_from_document(json.loads(canonical_json(code_document(code))))
+        assert again.family == family
+        assert again.lattice() == code.lattice()
+
+
+def test_only_a_family_constructor_labels_a_code():
+    # a label beside generators could contradict them: [[1, 1, 1, 1]]
+    # labelled parity_check would read back with cardinality 8, not 2
+    with pytest.raises(TypeError):
+        LinearCode(2, 4, [[1, 1, 1, 1]], family="parity_check", params={"n": 4, "q": 2})
+    code = LinearCode(2, 4, [[1, 1, 1, 1]])
+    assert (code.family, code.params) == (None, None)
+    assert code_from_document(code_document(code)).cardinality == 2
+    # a bool parameter is labelled as the integer the code was built from
+    assert code_from_document(code_document(full_code(True, 2))) == full_code(1, 2)
 
 
 def test_generators_reduced_and_zero_rows_dropped():

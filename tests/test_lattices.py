@@ -9,6 +9,7 @@ from codelattice.lattices import (
     IntegralLattice,
     NotInLattice,
     RankDeficient,
+    Sublattice,
     canonical_json,
     construction_a,
     det_int,
@@ -186,6 +187,14 @@ def test_sublattice_errors():
         sublattice_from_rows(lat, [[1, 0, 0]])
     with pytest.raises(RankDeficient):
         sublattice_from_rows(lat, [[1, 1, 0], [2, 2, 0]])
+    # the one constructor checks: (1,0,0,0) is not in D4, so no Gram data
+    # passed beside the rows can make it a sublattice of determinant 1
+    d4 = construction_a(parity_check_code(4, 2))
+    assert sublattice_from_rows is Sublattice
+    with pytest.raises(NotInLattice):
+        Sublattice(d4, [[1, 0, 0, 0]])
+    with pytest.raises(TypeError):
+        Sublattice(d4, [[1, 0, 0, 0]], [[1]], 1)
 
 
 def test_gamma_ratio_examples():

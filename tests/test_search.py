@@ -23,6 +23,7 @@ from codelattice.exact import Radical
 from codelattice.invariants import RANKIN, known_facts, rankin_invariant
 from codelattice.lattices import (
     IntegralLattice,
+    NotInLattice,
     RankDeficient,
     construction_a,
     det_int,
@@ -30,6 +31,7 @@ from codelattice.lattices import (
     is_even,
 )
 from codelattice.sublattice_search import (
+    SearchCertificate,
     _hermite_floor,
     minimal_sublattice,
     rank2_code_bound,
@@ -330,6 +332,28 @@ def test_certificate_fields():
     assert rows == sorted(rows, key=lambda r: (sum(x * x for x in r), r))
 
 
+def test_certificate_constructor_checks_its_witness():
+    d4 = construction_a(parity_check_code(4, 2))
+    cert = SearchCertificate(d4, 1, 2, [[1, 1, 0, 0]], 2, 1)
+    assert rankin_invariant(d4, cert) == Radical(2, 2)  # d_1 / det**(1/4)
+    # (1,0,0,0) is not in D4: the forged d_1 = 1 would give (1/2)**(1/2)
+    with pytest.raises(NotInLattice):
+        SearchCertificate(d4, 1, 1, [[1, 0, 0, 0]], 0, 0)
+    with pytest.raises(RankDeficient):
+        SearchCertificate(d4, 2, 0, [[1, 1, 0, 0], [2, 2, 0, 0]], 0, 0)
+    # a value other than the witness determinant, or a row count other than l
+    with pytest.raises(CertificateError, match="differs from the value"):
+        SearchCertificate(d4, 1, 1, [[1, 1, 0, 0]], 2, 1)
+    with pytest.raises(CertificateError, match="2 rows, not 1"):
+        SearchCertificate(d4, 1, 3, [[1, 1, 0, 0], [0, 1, 1, 0]], 2, 1)
+    # l, value, per_vector_bound and examined are integers, read as in
+    # every public constructor: l = 1.0 would pass the row count
+    for args in ((1.0, 2, 2, 1), (1, 2.0, 2, 1), (1, 2, "2", 1), (1, 2, 2, None)):
+        l, value, bound, examined = args
+        with pytest.raises(TypeError):
+            SearchCertificate(d4, l, value, [[1, 1, 0, 0]], bound, examined)
+
+
 @pytest.mark.parametrize(
     "code, l, value, leaves",
     [
@@ -575,7 +599,8 @@ enumeration.isqrt = real_isqrt
 class Forged:
     det_l = 0
 
-sublattice_search.sublattice_from_rows = lambda lattice, rows: Forged()
+# the witness the SearchCertificate constructor builds
+sublattice_search.Sublattice = lambda lattice, rows: Forged()
 try:
     sublattice_search.minimal_sublattice(lat, 2)
 except enumeration.CertificateError:
