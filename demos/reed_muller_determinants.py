@@ -13,14 +13,11 @@ from codelattice import (
     reed_muller_generators,
     sublattice_from_rows,
 )
-from codelattice.lattices import det_int, gram_matrix
+from codelattice.codes import reed_muller_table
 
 print(f"{'m':>2} {'r':>2} {'k':>3} {'det of rows':>14} {'det of lattice':>16}")
-for m in range(1, 6):
-    for r in range(0, m):
-        rows = reed_muller_generators(r, m)
-        lat = construction_a(reed_muller_code(r, m))
-        print(f"{m:>2} {r:>2} {len(rows):>3} {det_int(gram_matrix(rows)):>14} {lat.det_gram:>16}")
+for m, r, k, det_rows, det_lattice in reed_muller_table(5):
+    print(f"{m:>2} {r:>2} {k:>3} {det_rows:>14} {det_lattice:>16}")
 
 print()
 print("sublattice ratios inside the m=3 first-order lattice (scaled E8):")

@@ -16,6 +16,7 @@ from .codes import (
     full_code,
     zero_code,
     weight_report,
+    rank2_code_bound,
     dual_code,
     same_row_space,
     is_self_dual,
@@ -39,7 +40,7 @@ from .enumeration import (
     short_vectors,
     lattice_minimum,
 )
-from .sublattice_search import SearchCertificate, minimal_sublattice, rank2_code_bound
+from .sublattice_search import SearchCertificate, minimal_sublattice
 from .invariants import (
     KnownFact,
     BoundInterval,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from math import comb, isqrt
 from operator import index
+from typing import NamedTuple
 
 from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap
 from .lattices import (
@@ -35,6 +36,7 @@ __all__ = [
     "full_code",
     "zero_code",
     "weight_report",
+    "rank2_code_bound",
     "dual_code",
     "same_row_space",
     "is_self_dual",
@@ -123,22 +125,13 @@ class LinearCode:
         return f"LinearCode(q={self.q}, n={self.n}, k_rows={len(self.generators)})"
 
 
-class WeightReport:
+class WeightReport(NamedTuple):
     """Minimum Hamming/Euclidean weights of the nonzero codewords."""
 
-    __slots__ = ("d_hamming", "d_euclidean", "witness", "max_lift_sq")
-
-    def __init__(self, d_hamming, d_euclidean, witness, max_lift_sq):
-        self.d_hamming = d_hamming
-        self.d_euclidean = d_euclidean
-        self.witness = tuple(witness)
-        self.max_lift_sq = max_lift_sq
-
-    def __repr__(self) -> str:
-        return (
-            f"WeightReport(d_H={self.d_hamming}, d_E={self.d_euclidean}, "
-            f"b2={self.max_lift_sq})"
-        )
+    d_hamming: int
+    d_euclidean: int
+    witness: tuple[int, ...]
+    max_lift_sq: int
 
 
 def minimal_lift(word, q: int) -> tuple[int, ...]:
@@ -188,6 +181,27 @@ def _weights(code: LinearCode) -> WeightReport:
         raise ValueError("code has no nonzero codeword")
     b2 = max(max(e * e for e in minimal_lift(w, q)) for w in best_words)
     return WeightReport(d_h, d_e, witness, b2)
+
+
+def rank2_code_bound(code: LinearCode) -> int:
+    """Upper bound on the minimal rank-2 determinant of a code lattice.
+
+    min(q**4, q**2 * (d_E - b^2)) where b^2 is the largest squared entry
+    of a shortest lift, maximised over codewords attaining d_E: the plane
+    spanned by that lift and q*e_i at the position of b has this
+    determinant.  When every d_E-attaining codeword has a single nonzero
+    coordinate, d_E = b^2 and that plane degenerates; the bound falls back
+    to q**2 * d_E, realised by the lift together with q*e_j at any
+    position of disjoint support (n >= 2 required).
+    """
+    if code.n < 2:
+        raise ValueError("rank-2 bound needs n >= 2")
+    wr = weight_report(code)
+    q = code.q
+    gap = wr.d_euclidean - wr.max_lift_sq
+    if gap == 0:
+        gap = wr.d_euclidean
+    return min(q ** 4, q * q * gap)
 
 
 # -- named families -------------------------------------------------------

@@ -21,15 +21,10 @@ a lattice vector depends on x mod m only:
   coordinates where that fits into the slack B - |w|**2 can move.  The
   second stage walks those, each x_j with x_j**2 <= (slack left) + w_j**2,
   and so never meets a dead end.
-* The modulus.  m is the exponent of Z^n / L, the least with m B^{-1}
-  integral (m e_j in the lattice for every j).  The lcm of the pivots
-  divides it, and it divides det B and the modulus D the HNF was reduced
-  by (q for a code lattice), so where those bounds meet the lattice's
-  builder knows m already.  Otherwise the first walk computes
-  m = d / gcd(d, every entry of d B^{-1} = adj B), with d = det B the
-  product of the pivots, and keeps it on the lattice.  When m*m > 4B no
-  class holds two vectors of norm <= B, and the walk is the plain ambient
-  walk: every vector is its own word.
+* The modulus.  m is `IntegralLattice.exponent`, the least m with
+  m Z^n inside the lattice.  When m*m > 4B no class holds two vectors of
+  norm <= B, and the walk is the plain ambient walk: every vector is its
+  own word.
 * One vector per +-pair.  Negation maps words to words and fixes exactly
   the entries 0 and m/2.  While every w_j so far is one of them, the first
   stage keeps w_j >= 0, so it visits one word of each pair {w, -w}.  The
@@ -63,13 +58,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import attrgetter, index, itemgetter, mul
 from typing import NamedTuple
 
 from .exact import integer_root
-from .lattices import IntegralLattice, dual_basis
+from .lattices import IntegralLattice
 
 __all__ = [
     "CertificateError",
@@ -173,20 +167,10 @@ def short_vectors(
     return ShortVectorList(bound, vectors)
 
 
-def _modulus(lattice: IntegralLattice) -> int:
-    """The least m with m Z^n inside the lattice (module docstring), kept
-    on the lattice."""
-    m = lattice._exponent
-    if m is None:
-        d = prod(lattice.basis[j][j] for j in range(lattice.n))
-        m = lattice._exponent = d // gcd(d, *chain.from_iterable(dual_basis(lattice, d)))
-    return m
-
-
 def _walk(lattice: IntegralLattice, bound: int, cap: int) -> list[ShortVector]:
     """The sorted representatives of norm <= bound (bound >= 0), by the
     residue walk of the module docstring."""
-    walk = _Walk(lattice.basis, _modulus(lattice), bound, cap)
+    walk = _Walk(lattice.basis, lattice.exponent, bound, cap)
     walk.words(0, [0] * lattice.n, bound, True)
     out = walk.out
     out.sort(key=itemgetter(1, 0))  # (norm, coords)

@@ -12,6 +12,7 @@ always gcd-reduced with a positive denominator).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt, lcm
 from operator import index
 
@@ -71,6 +72,7 @@ def positional(m: int, t: int, digits: int) -> str:
     return "0." + "0" * (-t) + digs
 
 
+@total_ordering
 class Radical:
     """A non-negative real number radicand**(1/root), kept canonical.
 
@@ -78,7 +80,9 @@ class Radical:
     p-th power for a prime p dividing the root, the root is reduced.  Two
     radicals are equal as reals iff their canonical forms coincide, so
     comparison and hashing are structural.  Instances are immutable and
-    safe to share between threads.
+    safe to share between threads.  `<=` and `>=` come from
+    `total_ordering`; `>` is written out, as propagation uses it on every
+    step.
     """
 
     __slots__ = ("radicand", "root")
@@ -149,23 +153,11 @@ class Radical:
             return NotImplemented
         return self._cmp(other) < 0
 
-    def __le__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) <= 0
-
     def __gt__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) >= 0
 
     # -- arithmetic --------------------------------------------------
 

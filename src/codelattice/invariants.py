@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
-from .codes import LinearCode, dual_code, parity_check_code
+from .codes import LinearCode, dual_code, is_self_dual, parity_check_code
 from .enumeration import DEFAULT_CAP
 from .exact import Radical, positional
 from .lattices import IntegralLattice, gamma_ratio
@@ -106,59 +107,33 @@ def berge_martinet_invariant(code: LinearCode, l: int, search=None) -> Radical:
     The dual lattice never has to be materialised: d_l of the dual lattice
     is d_l of the dual-code lattice divided by q**(2l), which turns the
     invariant into (1/q**l) * sqrt(d_l(L_C) * d_l(L_{C dual})).  For a
-    self-dual code the two lattices coincide, the primal certificate serves
-    both, and the radical is the rational d_l(L_C) / q**l.  search(lattice,
-    l) returns the SearchCertificate of one lattice; it defaults to
-    `minimal_sublattice`.
+    self-dual code (`is_self_dual`) the two lattices coincide, the primal
+    certificate serves both, and the radical is the rational
+    d_l(L_C) / q**l.  search(lattice, l) returns the SearchCertificate of
+    one lattice; it defaults to `minimal_sublattice`.
     """
     if search is None:
         search = minimal_sublattice
-    lattice = code.lattice()
-    primal = search(lattice, l)
-    dual_lattice = dual_code(code).lattice()
-    dual = primal if dual_lattice == lattice else search(dual_lattice, l)
+    primal = search(code.lattice(), l)
+    dual = primal if is_self_dual(code) else search(dual_code(code).lattice(), l)
     return Radical(Fraction(primal.value * dual.value, code.q ** (2 * l)), 2)
 
 
 # -- interval grid ----------------------------------------------------------
 
 
-class BoundInterval:
+class BoundInterval(SimpleNamespace):
     """Exact bounds on one constant, with the derivations that set them.
 
-    Mutable, since propagation tightens cells in place; `upper` None means
-    unbounded, and each interval gets its own `provenance` list.
+    Mutable, since propagation tightens cells in place.  `lower` and
+    `upper` are Radicals, `upper` None meaning unbounded, and each interval
+    gets its own `provenance` list.  Equality and the repr are
+    SimpleNamespace's, field by field.
     """
 
-    __slots__ = ("kind", "n", "l", "lower", "upper", "provenance")
-
-    def __init__(
-        self,
-        kind: str,
-        n: int,
-        l: int,
-        lower: Radical,
-        upper: Radical | None = None,
-        provenance: list[str] | None = None,
-    ):
-        self.kind = kind
-        self.n = n
-        self.l = l
-        self.lower = lower
-        self.upper = upper
-        self.provenance = [] if provenance is None else provenance
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._values()))
-        return f"BoundInterval({inner})"
+    def __init__(self, kind, n, l, lower, upper=None, provenance=None):
+        provenance = [] if provenance is None else provenance
+        super().__init__(kind=kind, n=n, l=l, lower=lower, upper=upper, provenance=provenance)
 
     def is_exact(self) -> bool:
         return self.upper is not None and self.lower == self.upper
@@ -204,9 +179,9 @@ def known_fact_seeds(n_max: int) -> list[BoundInterval]:
 def standard_seeds(n_max: int, cap: int = DEFAULT_CAP) -> list[BoundInterval]:
     """Known facts plus this library's own lattice lower bounds.
 
-    The single parity check code at q = 2 supplies, for every n, a rank-2
-    sublattice of determinant 3 (lower bound 3/4**(2/n) on the Rankin
-    constant) and, combined with its dual, the lower bound
+    The single parity check code at q = 2 supplies, for every n from 3 to
+    n_max, a rank-2 sublattice of determinant 3 (lower bound 3/4**(2/n) on
+    the Rankin constant) and, combined with its dual, the lower bound
     (1/2) * sqrt(3 * min(4, n-1)) on the Berge-Martinet constant.  `cap`
     caps every sublattice search made for these seeds.
     """
@@ -216,7 +191,7 @@ def standard_seeds(n_max: int, cap: int = DEFAULT_CAP) -> list[BoundInterval]:
         return minimal_sublattice(lat, rank, cap=cap)
 
     seeds = known_fact_seeds(n_max)
-    for n in range(3, min(n_max, 8) + 1):
+    for n in range(3, n_max + 1):
         code = parity_check_code(n, 2)
         lat = code.lattice()
         cert = search(lat, 2)

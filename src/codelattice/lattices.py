@@ -5,17 +5,18 @@ normal form (upper triangular, positive pivots, entries above each pivot
 reduced into [0, pivot)), which is a canonical form: two descriptions of
 the same lattice produce identical bases, Gram matrices and documents.
 `hnf` reduces modulo a D with D Z^n inside the lattice, which each builder
-proves, so no entry exceeds D.  With the pivots, the same D pins the
-exponent of Z^n / L, the modulus of every enumeration walk, for most
-lattices; it is kept on the lattice.  Scaled variants such as a lattice
-divided by sqrt(q) are never materialised; all statements about them are
-rephrased on the integral lattice with exact exponent bookkeeping.
+proves, so no entry exceeds D.  With the pivots, the same D pins
+`IntegralLattice.exponent`, the modulus of every enumeration walk, for
+most lattices.  Scaled variants such as a lattice divided by sqrt(q) are
+never materialised; all statements about them are rephrased on the
+integral lattice with exact exponent bookkeeping.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import index, mul
 
@@ -215,11 +216,8 @@ class IntegralLattice:
     that `_short` serves (enumeration walks the basis itself).  `_short`
     caches the `ShortVectorList` that `enumeration.lattice_minimum`
     enumerated for this lattice, from which `enumeration.short_vectors`
-    serves every request within its bound.  `_exponent` holds the
-    exponent of Z^n / L, the modulus of every enumeration walk, once it is
-    known: from the pivots with D = det B here, or with the D a code
-    lattice's builder reduced by (`_reduced`), and otherwise from
-    `enumeration._modulus` on the first walk.
+    serves every request within its bound.  `_exponent` keeps `exponent`
+    once it is known.
     """
 
     __slots__ = ("n", "basis", "det_gram", "_gram", "_short", "_exponent")
@@ -237,6 +235,20 @@ class IntegralLattice:
         self._gram = None
         self._short = None
         self._exponent = _pinned_exponent(pivots, d)
+
+    @property
+    def exponent(self) -> int:
+        """The exponent m of Z^n / L, the least m with m Z^n inside L: the
+        modulus of every enumeration walk.  For most lattices the pivots pin
+        it (`_pinned_exponent`), with D = det B at construction or with the
+        D a code lattice's builder reduced by (`_reduced`).  Otherwise the
+        first read computes m = d / gcd(d, every entry of d B^{-1} = adj B),
+        with d = det B, and keeps it."""
+        m = self._exponent
+        if m is None:
+            d = prod(self.basis[j][j] for j in range(self.n))
+            m = self._exponent = d // gcd(d, *chain.from_iterable(dual_basis(self, d)))
+        return m
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:

@@ -84,12 +84,12 @@ certificate is; a mismatch raises CertificateError too.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import index, mul
+from operator import attrgetter, index, mul
 
 from .enumeration import DEFAULT_CAP, HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
 from .lattices import IntegralLattice, Sublattice, det_int, gram_matrix
 
-__all__ = ["MAX_RANK", "SearchCertificate", "minimal_sublattice", "rank2_code_bound"]
+__all__ = ["MAX_RANK", "SearchCertificate", "minimal_sublattice"]
 
 # Bumped whenever the search changes what a certificate reports; part of the
 # CLI cache key, so entries of an older search are recomputed, not served.
@@ -118,7 +118,8 @@ class SearchCertificate:
     of `lattice` spanning a sublattice of Gram determinant `value` (else
     CertificateError, NotInLattice or RankDeficient).  That proves
     value >= d_l, not value == d_l; per_vector_bound and examined are stored
-    as given.
+    as given.  l and value are read from the witness, so they cannot be
+    set apart from it.
 
     The class constant confirmed_by_escalation is always True, as every
     returned value is proven.  No certificate document carries it; it stays
@@ -126,9 +127,13 @@ class SearchCertificate:
     change removes it together with the upper_hint keyword.
     """
 
-    __slots__ = ("l", "value", "witness", "per_vector_bound", "candidates_examined")
+    __slots__ = ("witness", "per_vector_bound", "candidates_examined")
 
     confirmed_by_escalation = True
+
+    # read-only views of the witness the constructor proved
+    l = property(attrgetter("witness.l"))
+    value = property(attrgetter("witness.det_l"))
 
     def __init__(self, lattice: IntegralLattice, l, value, rows, per_vector_bound, examined):
         l, value = index(l), index(value)
@@ -139,8 +144,6 @@ class SearchCertificate:
             raise CertificateError(
                 f"witness determinant {witness.det_l} differs from the value {value}"
             )
-        self.l = l
-        self.value = value
         self.witness = witness
         self.per_vector_bound = index(per_vector_bound)
         self.candidates_examined = index(examined)
@@ -352,25 +355,3 @@ def minimal_sublattice(
         )
     return SearchCertificate(lattice, l, value, scan.key, bv, scan.leaves)
 
-
-def rank2_code_bound(code) -> int:
-    """Upper bound on the minimal rank-2 determinant of a code lattice.
-
-    min(q**4, q**2 * (d_E - b^2)) where b^2 is the largest squared entry
-    of a shortest lift, maximised over codewords attaining d_E: the plane
-    spanned by that lift and q*e_i at the position of b has this
-    determinant.  When every d_E-attaining codeword has a single nonzero
-    coordinate, d_E = b^2 and that plane degenerates; the bound falls back
-    to q**2 * d_E, realised by the lift together with q*e_j at any
-    position of disjoint support (n >= 2 required).
-    """
-    from .codes import weight_report
-
-    wr = weight_report(code)
-    if code.n < 2:
-        raise ValueError("rank-2 bound needs n >= 2")
-    q = code.q
-    gap = wr.d_euclidean - wr.max_lift_sq
-    if gap == 0:
-        gap = wr.d_euclidean
-    return min(q ** 4, q * q * gap)

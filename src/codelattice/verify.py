@@ -37,6 +37,7 @@ from .codes import (
     extended_hamming_code,
     full_code,
     parity_check_code,
+    rank2_code_bound,
     reed_muller_code,
     reed_muller_generators,
     reed_muller_table,
@@ -64,7 +65,7 @@ from .lattices import (
     is_even,
 )
 from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap, lattice_minimum
-from .sublattice_search import minimal_sublattice, rank2_code_bound
+from .sublattice_search import minimal_sublattice
 
 __all__ = ["CheckResult", "run_checks", "render_report", "OPEN_CONSTANTS_NOTE"]
 
@@ -480,8 +481,6 @@ def _check_cardinality_bound_tightness(ctx):
     for code in ctx.family:
         clat = code.lattice()
         for l in (1, 2):
-            if l > clat.n:
-                continue
             c = minimal_sublattice(clat, l, cap=ctx.cap)
             card = Radical(Fraction(code.cardinality))
             violations += rankin_invariant(clat, c) > card ** Fraction(2 * l, code.n)
@@ -590,17 +589,7 @@ def render_report(results: list[CheckResult], fmt: str = "text") -> str:
     if fmt == "json":
         doc = {
             "note": OPEN_CONSTANTS_NOTE,
-            "checks": [
-                {
-                    "check_id": r.check_id,
-                    "status": r.status,
-                    "expected": r.expected,
-                    "computed": r.computed,
-                    "runtime_ms": r.runtime_ms,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [r._asdict() for r in results],
         }
         return canonical_json(doc)
     if fmt == "csv":

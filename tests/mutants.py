@@ -190,20 +190,6 @@ MUTANTS = (
         "if False:",
         "test_search",
     ),
-    (
-        "_modulus returns det B",
-        "enumeration.py",
-        "m = lattice._exponent = d // gcd(d, *chain.from_iterable(dual_basis(lattice, d)))",
-        "m = lattice._exponent = d",
-        "test_enumeration",
-    ),
-    (
-        "fallback exponent not kept",
-        "enumeration.py",
-        "m = lattice._exponent = d // gcd(",
-        "m = d // gcd(",
-        "test_enumeration",
-    ),
     # -- the lattice kernel ---------------------------------------------------
     (
         "HNF: cofactor row dropped after a fold",
@@ -255,6 +241,20 @@ MUTANTS = (
         "test_enumeration",
     ),
     (
+        "fallback exponent returns det B",
+        "lattices.py",
+        "m = self._exponent = d // gcd(d, *chain.from_iterable(dual_basis(self, d)))",
+        "m = self._exponent = d",
+        "test_enumeration",
+    ),
+    (
+        "fallback exponent not kept",
+        "lattices.py",
+        "m = self._exponent = d // gcd(",
+        "m = d // gcd(",
+        "test_enumeration",
+    ),
+    (
         "builder's modulus dropped",
         "lattices.py",
         "lattice._exponent = _pinned_exponent(pivots, modulus)",
@@ -267,6 +267,21 @@ MUTANTS = (
         "if lattice.det_gram * dual.det_gram != q ** (2 * n):",
         "if False:",
         "test_search",
+    ),
+    # -- the invariants -------------------------------------------------------
+    (
+        "lattice seeds capped at n = 8",
+        "invariants.py",
+        "for n in range(3, n_max + 1):",
+        "for n in range(3, min(n_max, 8) + 1):",
+        "test_invariants",
+    ),
+    (
+        "every code taken as self-dual",
+        "invariants.py",
+        "dual = primal if is_self_dual(code) else",
+        "dual = primal if True else",
+        "test_invariants",
     ),
 )
 

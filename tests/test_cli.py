@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -303,6 +304,44 @@ def test_bounds_deterministic_bytes(cache, capsys):
     assert first == second
     doc = json.loads(first)
     assert json.dumps(doc, sort_keys=True, indent=2) + "\n" == first
+
+
+D4 = ["--family", "parity_check", "--n", "4", "--q", "2"]
+RENDER_CASES = {
+    **{
+        f"{command}-{fmt}": [command, *D4, "--l", "2", "--format", fmt]
+        for command in ("dl", "gamma", "gamma-prime")
+        for fmt in ("text", "csv")
+    },
+    "build-text": ["build", *D4, "--format", "text"],
+    "build-csv": ["build", *D4, "--format", "csv"],
+    "bounds-text": ["bounds", "--n-max", "3", "--format", "text"],
+    "rm-table-csv": ["rm-table", "--m-max", "2", "--format", "csv"],
+    **{
+        f"verify-{fmt}": ["verify", "--filter", "e8_gram", "--format", fmt]
+        for fmt in ("json", "csv", "text")
+    },
+}
+
+
+def _runtimes_masked(report: str) -> str:
+    """A verify report with every runtime_ms read as 0, in all three formats."""
+    report = re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', report)
+    report = re.sub(r"\[\d+ ms\]", "[0 ms]", report)
+    return re.sub(r"^(\w+,\w+),\d+$", r"\1,0", report, flags=re.M)
+
+
+@pytest.mark.parametrize("name", RENDER_CASES)
+def test_rendered_bytes(cache, capsys, name):
+    # the exact bytes of the text renderer (its list branches included), the
+    # csv flattening and the three verify report formats, on a cold cache
+    expected = json.loads((Path(__file__).parent / "data" / "renderings.json").read_text())
+    argv = RENDER_CASES[name]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    if argv[0] == "verify":
+        out = _runtimes_masked(out)
+    assert out == expected[name]
 
 
 def test_missing_family_parameters(cache, capsys):

@@ -18,6 +18,7 @@ from codelattice.codes import (
     full_code,
     minimal_lift,
     parity_check_code,
+    rank2_code_bound,
     read_spec,
     reed_muller_code,
     reed_muller_generators,
@@ -92,6 +93,9 @@ def test_extended_hamming():
 def test_weight_report_examples():
     wr = weight_report(parity_check_code(4, 2))
     assert (wr.d_hamming, wr.d_euclidean, wr.max_lift_sq) == (2, 2, 1)
+    # the report is cached on the code, so it cannot be edited in place
+    with pytest.raises(AttributeError):
+        wr.d_euclidean = 0
     with pytest.raises(ValueError):
         weight_report(zero_code(3, 2))
     wr_rm = weight_report(reed_muller_code(1, 3))
@@ -104,8 +108,6 @@ def test_weight_report_cap():
 
 
 def test_weight_report_cached_with_cap_checked_each_call(monkeypatch):
-    from codelattice.sublattice_search import rank2_code_bound
-
     code = reed_muller_code(1, 3)
     first = weight_report(code)
 

@@ -10,7 +10,6 @@ from codelattice.enumeration import (
     EnumerationCap,
     ShortVectorList,
     _grain,
-    _modulus,
     _walk,
     lattice_minimum,
     short_vectors,
@@ -265,7 +264,7 @@ def test_matches_fraction_oracle_on_code_lattices():
         lat = construction_a(code)
         q = code.q
         # the walk's modulus divides q: q Z^n lies in every L_C
-        assert q % _modulus(lat) == 0
+        assert q % lat.exponent == 0
         _assert_matches_oracle(lat, (q * q - 1, q * q, q * q + rng.randint(1, 2 * q)))
 
 
@@ -281,7 +280,7 @@ def test_matches_fraction_oracle_on_general_lattices():
     # C = <(2, 1)> over Z_4, whose builder reduces by D = q = 4.
     for lat in (IntegralLattice.from_rows([[2, 1], [0, 2]]), construction_a(LinearCode(4, 2, [[2, 1]]))):
         assert lat.basis == ((2, 1), (0, 2)) and lat._exponent is None
-        assert _modulus(lat) == 4
+        assert lat.exponent == 4
         _assert_matches_oracle(lat, range(1, 26))
 
 
@@ -310,14 +309,14 @@ def test_exponent_matches_the_dual_basis_formula():
         if lat._exponent is not None:
             assert lat._exponent == exact, (kind, lat.basis)
             pinned[kind] += 1
-        assert _modulus(lat) == exact == lat._exponent, (kind, lat.basis)
+        assert lat.exponent == exact == lat._exponent, (kind, lat.basis)
     # q pins nearly every code lattice and its dual; det B alone fewer
     assert pinned["code"] >= 140 and pinned["dual"] >= 140, pinned
     assert pinned["rows"] >= 40 and pinned["basis"] >= 40, pinned
 
 
 def test_unpinned_exponent_is_computed_once(monkeypatch):
-    from codelattice import enumeration
+    from codelattice import lattices
 
     calls = []
 
@@ -325,11 +324,13 @@ def test_unpinned_exponent_is_computed_once(monkeypatch):
         calls.append(q)
         return dual_basis(lattice, q)
 
-    monkeypatch.setattr(enumeration, "dual_basis", counted)
+    monkeypatch.setattr(lattices, "dual_basis", counted)
     lat = construction_a(LinearCode(4, 2, [[2, 1]]))
     # no kept list: both requests walk
     _assert_matches_oracle(lat, (5, 9))
     assert calls == [4] and lat._exponent == 4
+    with pytest.raises(AttributeError):
+        lat.exponent = 2
     # a pinned exponent needs no dual basis at all
     short_vectors(construction_a(reed_muller_code(1, 3)), 4)
     assert calls == [4]

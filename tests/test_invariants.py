@@ -131,6 +131,22 @@ def test_standard_seeds_search_each_lattice_once(monkeypatch):
     assert len(searched) == 12 == len(set(searched))
 
 
+def test_lattice_seeds_cover_every_n():
+    # D_9 and D_10 seed their rank-2 cells and, by rule (3), the mirror
+    # cells at l = n - 2: the lower bounds are their invariants, not 1
+    seeds = standard_seeds(10)
+    d9 = parity_check_code(9, 2).lattice()
+    gamma92 = rankin_invariant(d9, minimal_sublattice(d9, 2))
+    for rules in ("published", "full"):
+        res = propagate_bounds(10, seeds, rules)
+        assert res.cell(RANKIN, 9, 2).lower == gamma92 > 1
+        assert res.cell(RANKIN, 9, 7).lower == gamma92
+        assert res.cell(RANKIN, 10, 2).lower.to_decimal(6) == "2.27357"
+        for n in (9, 10):
+            assert res.cell(BERGE_MARTINET, n, 2).lower == Radical(3, 2)
+            assert res.cell(BERGE_MARTINET, n, n - 2).lower == Radical(3, 2)
+
+
 def test_rankin_certificate_validation():
     lat = construction_a(parity_check_code(4, 2))
     other = construction_a(parity_check_code(5, 2))

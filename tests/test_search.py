@@ -10,6 +10,7 @@ from codelattice.codes import (
     dual_code,
     full_code,
     parity_check_code,
+    rank2_code_bound,
     reed_muller_code,
 )
 from codelattice.enumeration import (
@@ -34,7 +35,6 @@ from codelattice.sublattice_search import (
     SearchCertificate,
     _hermite_floor,
     minimal_sublattice,
-    rank2_code_bound,
 )
 from closed_form_oracle import corank_one_minimum, top_rank_minimum
 from search_oracle import H_FACTOR, oracle_minimal_sublattice
@@ -304,6 +304,10 @@ def test_rank2_code_bound_examples():
     assert minimal_sublattice(construction_a(degenerate), 2).value == 64
     with pytest.raises(ValueError):
         rank2_code_bound(LinearCode(2, 3, []))
+    # the length is checked before the codewords are listed, so a length-1
+    # code over the enumeration cap has no rank-2 bound either
+    with pytest.raises(ValueError, match="n >= 2"):
+        rank2_code_bound(full_code(1, 10**8))
 
 
 def test_bound_is_valid_on_random_codes():
@@ -336,6 +340,11 @@ def test_certificate_constructor_checks_its_witness():
     d4 = construction_a(parity_check_code(4, 2))
     cert = SearchCertificate(d4, 1, 2, [[1, 1, 0, 0]], 2, 1)
     assert rankin_invariant(d4, cert) == Radical(2, 2)  # d_1 / det**(1/4)
+    # l and value are the witness's, and cannot be set apart from it
+    assert (cert.l, cert.value) == (cert.witness.l, cert.witness.det_l) == (1, 2)
+    for name in ("l", "value"):
+        with pytest.raises(AttributeError):
+            setattr(cert, name, 1)
     # (1,0,0,0) is not in D4: the forged d_1 = 1 would give (1/2)**(1/2)
     with pytest.raises(NotInLattice):
         SearchCertificate(d4, 1, 1, [[1, 0, 0, 0]], 0, 0)
