@@ -11,9 +11,9 @@ from codelattice import (
     gamma_ratio,
     reed_muller_code,
     reed_muller_generators,
+    reed_muller_table,
     sublattice_from_rows,
 )
-from codelattice.codes import reed_muller_table
 
 print(f"{'m':>2} {'r':>2} {'k':>3} {'det of rows':>14} {'det of lattice':>16}")
 for m, r, k, det_rows, det_lattice in reed_muller_table(5):

@@ -7,9 +7,9 @@ Code inputs come either from a JSON spec file (--spec) or a named family
 cached on disk keyed by the canonical HNF basis and rank.
 
 Exit codes: 0 success, 1 verify failures, 2 unusable input (parse error, a
-spec document `codes.read_spec` rejects, an out-of-range argument, or a
-cache location that cannot be a directory), 3 infeasible search
-(enumeration cap exceeded).
+spec document `codes.read_spec` rejects, an out-of-range argument, a
+cache location that cannot be a directory, or a cache shard or entry that
+cannot be written), 3 infeasible search (enumeration cap exceeded).
 """
 
 from __future__ import annotations
@@ -168,19 +168,24 @@ def _cache_load(cache_dir, lattice, l) -> SearchCertificate | None:
 
 
 def _cache_store(cache_dir, lattice, cert: SearchCertificate) -> None:
+    """Publish the entry atomically; a shard or an entry path that cannot be
+    written (a file or a directory in the way) exits 2, naming the entry."""
     key = _cache_key(lattice, cert.l)
     path = _cache_path(cache_dir, key)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     doc = {**_certificate_doc(cert), "key": key, "tool_version": __version__}
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
-        os.replace(tmp, path)  # atomic publish
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(doc))
+            os.replace(tmp, path)  # atomic publish
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"unusable cache entry {path}: {exc.strerror}", EXIT_BAD_INPUT)
 
 
 def _searched(args, lattice, l) -> tuple[SearchCertificate, bool]:

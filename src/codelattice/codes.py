@@ -14,16 +14,10 @@ from operator import index
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap
-from .lattices import (
-    IntegralLattice,
-    _reduced,
-    construction_a,
-    det_int,
-    dual_basis,
-    gram_matrix,
-)
+from .lattices import IntegralLattice, construction_a, det_int, dual_basis, gram_matrix
 
 __all__ = [
+    "FAMILIES",
     "FAMILY_KEYS",
     "MAX_LENGTH",
     "LinearCode",
@@ -43,6 +37,7 @@ __all__ = [
     "minimal_lift",
     "code_document",
     "code_from_document",
+    "document_int",
     "read_spec",
 ]
 
@@ -317,20 +312,19 @@ def reed_muller_table(m_max: int) -> list[tuple[int, int, int, int, int]]:
 def dual_code(code: LinearCode) -> LinearCode:
     """Dual code, computed through the lattice route and cached on `code`.
 
-    q times the dual basis of L_C spans q L_C* = L_{C dual}, which holds
-    q Z^n, so its HNF modulo q is the dual code's lattice, its rows mod q
-    generate the dual code, and its det_gram times L_C's is q**(2n) (else
-    CertificateError).  d_l of L_C* is d_l of that lattice divided by
-    q**(2l).  `verify` compares it with Construction A of the dual code.
+    The rows of q times the dual basis of L_C span q L_C* = L_{C dual},
+    which holds q Z^n, so those rows mod q generate the dual code and
+    Construction A of them gives q L_C* back.  Its det_gram times L_C's is
+    q**(2n) (else CertificateError).  d_l of L_C* is d_l of that lattice
+    divided by q**(2l).
     """
     if code._dual is None:
         q, n = code.q, code.n
         lattice = code.lattice()
-        dual = _reduced(dual_basis(lattice, q), q)
-        if lattice.det_gram * dual.det_gram != q ** (2 * n):
+        dual = LinearCode(q, n, dual_basis(lattice, q))
+        if lattice.det_gram * dual.lattice().det_gram != q ** (2 * n):
             raise CertificateError("det_gram of the code lattice times its dual's is not q^(2n)")
-        code._dual = LinearCode(q, n, [[e % q for e in row] for row in dual.basis])
-        code._dual._lattice = dual
+        code._dual = dual
     return code._dual
 
 

@@ -69,6 +69,7 @@ __all__ = [
     "CertificateError",
     "DEFAULT_CAP",
     "EnumerationCap",
+    "HERMITE_POWER",
     "ShortVector",
     "ShortVectorList",
     "short_vectors",

@@ -230,9 +230,8 @@ class Radical:
         scaled = self.radicand * Fraction(10) ** (s * self.root)
         p, q = scaled.numerator, scaled.denominator
         r = self.root
+        # floor((p/q)**(1/r)), which is floor(floor(p/q)**(1/r))
         m = integer_root(p // q, r)
-        while (m + 1) ** r * q <= p:
-            m += 1
         # round half up on the exact value
         if (2 * m + 1) ** r * q <= p * 2 ** r:
             m += 1

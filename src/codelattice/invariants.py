@@ -28,6 +28,7 @@ __all__ = [
     "RANKIN",
     "BERGE_MARTINET",
     "known_facts",
+    "known_fact",
     "known_fact_seeds",
     "standard_seeds",
     "rankin_invariant",

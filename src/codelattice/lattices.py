@@ -241,9 +241,9 @@ class IntegralLattice:
         """The exponent m of Z^n / L, the least m with m Z^n inside L: the
         modulus of every enumeration walk.  For most lattices the pivots pin
         it (`_pinned_exponent`), with D = det B at construction or with the
-        D a code lattice's builder reduced by (`_reduced`).  Otherwise the
-        first read computes m = d / gcd(d, every entry of d B^{-1} = adj B),
-        with d = det B, and keeps it."""
+        q that `construction_a` reduced by.  Otherwise the first read
+        computes m = d / gcd(d, every entry of d B^{-1} = adj B), with
+        d = det B, and keeps it."""
         m = self._exponent
         if m is None:
             d = prod(self.basis[j][j] for j in range(self.n))
@@ -306,26 +306,19 @@ class IntegralLattice:
         return f"IntegralLattice(n={self.n}, det_gram={self.det_gram})"
 
 
-def _reduced(rows, modulus: int) -> IntegralLattice:
-    """The lattice of `hnf(rows, modulus)`, its exponent pinned by D, the
-    modulus, where the pivots allow.  That HNF spans L + D Z^n, so D Z^n
-    lies in the lattice whatever D is; a caller never supplies D to the
-    lattice itself, as a wrong one would give a wrong walk modulus."""
-    lattice = IntegralLattice(hnf(rows, modulus))
-    if lattice._exponent is None:
-        pivots = [lattice.basis[i][i] for i in range(lattice.n)]
-        lattice._exponent = _pinned_exponent(pivots, modulus)
-    return lattice
-
-
 def construction_a(code) -> IntegralLattice:
     """Lattice of integer vectors reducing mod q to a codeword of `code`.
 
     The HNF of the lifted generators modulo q, since q Z^n lies in the
     lattice; always full rank.  The code cardinality is recovered from the
-    basis: |C| = q**n / prod(diagonal).
+    basis: |C| = q**n / prod(diagonal).  q also pins the exponent wherever
+    the pivots allow (`_pinned_exponent`).
     """
-    return _reduced(code.generators or [[0] * code.n], code.q)
+    lattice = IntegralLattice(hnf(code.generators or [[0] * code.n], code.q))
+    if lattice._exponent is None:
+        pivots = [lattice.basis[i][i] for i in range(lattice.n)]
+        lattice._exponent = _pinned_exponent(pivots, code.q)
+    return lattice
 
 
 def is_even(lattice: IntegralLattice) -> bool:

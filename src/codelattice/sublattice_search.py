@@ -89,7 +89,7 @@ from operator import attrgetter, index, mul
 from .enumeration import DEFAULT_CAP, HERMITE_POWER, CertificateError, lattice_minimum, short_vectors
 from .lattices import IntegralLattice, Sublattice, det_int, gram_matrix
 
-__all__ = ["MAX_RANK", "SearchCertificate", "minimal_sublattice"]
+__all__ = ["MAX_RANK", "SEARCH_VERSION", "SearchCertificate", "minimal_sublattice"]
 
 # Bumped whenever the search changes what a certificate reports; part of the
 # CLI cache key, so entries of an older search are recomputed, not served.

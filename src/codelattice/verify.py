@@ -48,7 +48,7 @@ from .invariants import (
     BERGE_MARTINET,
     RANKIN,
     berge_martinet_invariant,
-    known_fact,
+    known_facts,
     propagate_bounds,
     rankin_invariant,
     standard_seeds,
@@ -94,11 +94,14 @@ SEED = 20240
 
 class _Context(NamedTuple):
     """What every check reads; built once per `run_checks` call, so the
-    lattices and duals the corpus codes cache are shared by the checks."""
+    lattices and duals the corpus codes cache are shared by the checks.
+    `known` holds `known_facts()` by (kind, n, l): the values that `bounds`
+    seeds from, which the checks recompute."""
 
     cap: int
     family: list[LinearCode]
     random: list[LinearCode]
+    known: dict
 
 
 def _random_codes(count: int) -> list[LinearCode]:
@@ -238,10 +241,11 @@ def _check_code_lattice_duality(ctx):
 def _check_parity_check_family(ctx):
     """Single parity check family: Hermite values, d2 = 3, rank-2 invariant."""
     claims = []
-    for n, fact_val in ((3, Radical(2, 3)), (4, Radical(2, 2)), (5, Radical(8, 5))):
+    for n in (3, 4, 5):
         lat = parity_check_code(n, 2).lattice()
         cert = minimal_sublattice(lat, 1, cap=ctx.cap)
-        claims.append((f"gamma({n},1)={fact_val}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
+        fact = ctx.known[RANKIN, n, 1].value
+        claims.append((f"gamma({n},1)={fact}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
     for q in PRIMAL_Q:
         for n in PARITY_N:
             lat = parity_check_code(n, q).lattice()
@@ -329,7 +333,8 @@ def _check_rm_first_order(ctx):
     sub = Sublattice(lat3, [prime3[1], prime3[2]])
     claims.append(("ratio(8,2)=3", f"ratio(8,2)={gamma_ratio(lat3, sub)}"))
     cert2 = minimal_sublattice(lat3, 2, cap=ctx.cap)
-    claims.append(("gamma(8,2)=3", f"gamma(8,2)={rankin_invariant(lat3, cert2)}"))
+    fact = ctx.known[RANKIN, 8, 2].value
+    claims.append((f"gamma(8,2)={fact}", f"gamma(8,2)={rankin_invariant(lat3, cert2)}"))
     # m=4, l=2: the q-hypercube plane beats the generator-row planes
     lat4, prime4 = lats[4], _first_order_allones_rows(4)
     cands = {
@@ -401,7 +406,8 @@ def _check_rm_last_order(ctx):
     # at m=2 the rank-2 upper bound from the subratio is attained: 3/2
     lat4 = parity_check_code(4, 2).lattice()
     cert = minimal_sublattice(lat4, 2, cap=ctx.cap)
-    claims.append(("gamma(4,2)=3/2", f"gamma(4,2)={rankin_invariant(lat4, cert)}"))
+    fact = ctx.known[RANKIN, 4, 2].value
+    claims.append((f"gamma(4,2)={fact}", f"gamma(4,2)={rankin_invariant(lat4, cert)}"))
     return claims
 
 
@@ -426,9 +432,9 @@ def _check_dual_parity_check(ctx):
             claims.append((f"d1*(n={n},q={q})={min(n, q * q)}", f"d1*(n={n},q={q})={got}"))
             expect1 = Radical(Fraction(2 * min(n, q * q), q * q), 2)
             claims.append((f"g'1={expect1}", f"g'1={gamma_prime(n, q, 1)}"))
-    # q = 2 rank-1 values
-    named = {2: Radical(1), 3: Radical(Fraction(3, 2), 2), 4: Radical(2, 2), 5: Radical(2, 2)}
-    for n, expect in named.items():
+    # q = 2 rank-1 values: 1 at n = 2, the known constants at n = 3, 4, 5
+    for n in (2, 3, 4, 5):
+        expect = ctx.known[BERGE_MARTINET, n, 1].value if n > 2 else Radical(1)
         claims.append((f"g'({n},1)={expect}", f"g'({n},1)={gamma_prime(n, 2, 1)}"))
     # d2 of the dual-code lattice
     for q in DUAL_Q:
@@ -439,7 +445,8 @@ def _check_dual_parity_check(ctx):
             claims.append((f"d2*(n={n},q={q})={expect_d2}", f"d2*(n={n},q={q})={cert.value}"))
             expect2 = Radical(Fraction(3 * min(q * q, n - 1), q * q), 2)
             claims.append((f"g'2={expect2}", f"g'2={gamma_prime(n, q, 2)}"))
-    claims.append(("g'(4,2)=3/2", f"g'(4,2)={gamma_prime(4, 2, 2)}"))
+    fact = ctx.known[BERGE_MARTINET, 4, 2].value
+    claims.append((f"g'(4,2)={fact}", f"g'(4,2)={gamma_prime(4, 2, 2)}"))
     sqrt3 = Radical(3, 2)
     for n in (5, 6, 7):
         gp = gamma_prime(n, 2, 2)
@@ -486,7 +493,7 @@ def _check_cardinality_bound_tightness(ctx):
             violations += rankin_invariant(clat, c) > card ** Fraction(2 * l, code.n)
     holds = "bound holds on corpus"
     return [
-        ("gamma(8,1)=2", f"gamma(8,1)={g81}"),
+        (f"gamma(8,1)={ctx.known[RANKIN, 8, 1].value}", f"gamma(8,1)={g81}"),
         ("cap=2", f"cap={bound}"),
         (holds, f"{violations} violations" if violations else holds),
     ]
@@ -524,7 +531,7 @@ def _check_a2_benchmark(ctx):
     dual = [[g[1][1] / det, -g[0][1] / det], [-g[1][0] / det, g[0][0] / det]]
     dual_min = _form_minimum(dual, 2)
     value = (Radical(primal_min) * Radical(dual_min)) ** Fraction(1, 2)
-    fact = known_fact(BERGE_MARTINET, 2, 1)
+    fact = ctx.known[BERGE_MARTINET, 2, 1]
     source = "no code construction recorded" if fact.source == "" else f"source={fact.source}"
     return [
         (f"g'(2,1)={fact.value}", f"g'(2,1)={value}"),
@@ -561,7 +568,8 @@ def run_checks(
     corpus and `cap` caps the sublattice searches and codeword enumerations
     that the checks run.
     """
-    ctx = _Context(cap, _family_corpus(), _random_codes(random_codes))
+    known = {(fact.kind, fact.n, fact.l): fact for fact in known_facts()}
+    ctx = _Context(cap, _family_corpus(), _random_codes(random_codes), known)
     results = []
     for check_id, fn in CHECKS:
         if filter and filter not in check_id and not fnmatch.fnmatch(check_id, filter):

@@ -257,16 +257,47 @@ MUTANTS = (
     (
         "builder's modulus dropped",
         "lattices.py",
-        "lattice._exponent = _pinned_exponent(pivots, modulus)",
+        "lattice._exponent = _pinned_exponent(pivots, code.q)",
         "lattice._exponent = _pinned_exponent(pivots, prod(pivots))",
         "test_enumeration",
     ),
     (
         "dual determinant identity skipped",
         "codes.py",
-        "if lattice.det_gram * dual.det_gram != q ** (2 * n):",
+        "if lattice.det_gram * dual.lattice().det_gram != q ** (2 * n):",
         "if False:",
         "test_search",
+    ),
+    # -- the known constants --------------------------------------------------
+    (
+        "E8's gamma(8,2) entry taken as 4",
+        "invariants.py",
+        '(RANKIN, 8, 2, r(3), "E8"),',
+        '(RANKIN, 8, 2, r(4), "E8"),',
+        "test_verify",
+    ),
+    # -- the decimal rendering ------------------------------------------------
+    (
+        "to_decimal rounding carry dropped",
+        "exact.py",
+        "if m >= 10 ** digits:",
+        "if False:",
+        "test_exact",
+    ),
+    # -- the certificate cache ------------------------------------------------
+    (
+        "cache loader's rank check deleted",
+        "cli.py",
+        'if document_int(doc["l"], "l") != l:',
+        "if False:",
+        "test_cli",
+    ),
+    (
+        "cache store lets OSError through",
+        "cli.py",
+        'raise CliError(f"unusable cache entry {path}: {exc.strerror}", EXIT_BAD_INPUT)',
+        "raise",
+        "test_cli",
     ),
     # -- the invariants -------------------------------------------------------
     (

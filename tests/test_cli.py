@@ -78,6 +78,8 @@ def test_entry_with_escalation_field_is_served(cache, capsys):
         pytest.param({"value": 3.0}, id="float-value"),
         # the stored witness has determinant 3
         pytest.param({"value": 2}, id="value-below-witness"),
+        # a certificate that is valid at rank 2 but says it is for rank 3
+        pytest.param({"l": 3}, id="other-rank"),
     ],
 )
 def test_entry_of_the_wrong_shape_is_recomputed(cache, capsys, edit):
@@ -431,6 +433,25 @@ def test_cache_location_that_is_not_a_directory_exits_2(capsys, tmp_path):
         assert code == 2 and out == ""
         assert f"error: unusable cache directory {path}: " in err
         assert "warning" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("blocked", ["shard", "entry"])
+def test_cache_entry_that_cannot_be_written_exits_2(cache, capsys, blocked):
+    # a file where the shard directory goes, or a directory at the entry path
+    argv = ["dl", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "2"]
+    _run(capsys, argv)
+    [entry] = cache.rglob("*.json")
+    entry.unlink()
+    if blocked == "shard":
+        entry.parent.rmdir()
+        entry.parent.write_text("")
+    else:
+        entry.mkdir()
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"error: unusable cache entry {entry}: " in err
+    assert "Traceback" not in err
+    assert not list(cache.rglob("*.tmp"))
 
 
 def test_negative_random_codes_exits_2(cache, capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from codelattice.enumeration import EnumerationCap
-from codelattice.lattices import canonical_json, construction_a
+from codelattice.lattices import IntegralLattice, canonical_json, construction_a, dual_basis
 from codelattice import codes
 from codelattice.codes import (
     FAMILIES,
@@ -192,9 +192,9 @@ def test_dual_code_lattice():
 
 
 def test_dual_lattice_is_construction_a_of_the_dual():
-    # dual_code keeps the HNF of q times the dual basis as the dual's
-    # lattice: it must be the lattice Construction A builds from the dual
-    # code's generators, with |C| |C_dual| = q^n
+    # Construction A of the dual code's generators, the rows of q times the
+    # dual basis mod q, gives back the lattice those rows span, q L_C*, with
+    # |C| |C_dual| = q^n
     from codelattice.verify import _family_corpus
 
     rng = random.Random(26)
@@ -202,7 +202,8 @@ def test_dual_lattice_is_construction_a_of_the_dual():
     codes += [_random_code(rng, n_max=5, q_choices=(2, 3, 4, 6)) for _ in range(40)]
     for code in codes:
         dual = dual_code(code)
-        assert dual.lattice() == construction_a(dual), (code.q, code.generators)
+        spanned = IntegralLattice.from_rows(dual_basis(code.lattice(), code.q))
+        assert dual.lattice() == construction_a(dual) == spanned, (code.q, code.generators)
         assert code.cardinality * dual.cardinality == code.q ** code.n
 
 

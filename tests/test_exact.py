@@ -1,4 +1,6 @@
+import decimal
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -56,6 +58,42 @@ def test_decimal_examples():
     assert Radical(2).to_decimal(1) == "2"
     assert Radical(1073741824).to_decimal(6) == "1073740000"
     assert (Radical(2) ** Fraction(-3, 2)).to_decimal(4) == "0.3536"
+
+
+def test_decimal_rounding_carries_into_a_new_digit():
+    # the mantissa rounds up to 10**digits and keeps `digits` digits
+    assert Radical(Fraction(1999999, 200000)).to_decimal(6) == "10.0000"
+    assert Radical(Fraction(999999, 1000)).to_decimal(3) == "1000"
+    assert Radical(Fraction(1999, 2000)).to_decimal(3) == "1.00"
+    assert Radical(Fraction(999999, 10000), 2).to_decimal(5) == "10.000"
+
+
+def _decimal_reference(value, digits):
+    """value to `digits` significant digits, ties away from zero, by the
+    decimal module at 40 guard digits: a rendering independent of
+    `to_decimal`'s integer roots."""
+    num, den, root = value.as_triple()
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 40
+        x = Decimal(num) / Decimal(den)
+        if root > 1:
+            x = (x.ln() / root).exp()
+        exp = x.adjusted() - digits + 1
+        y = x.quantize(Decimal(1).scaleb(exp), rounding=decimal.ROUND_HALF_UP)
+        if y.adjusted() > x.adjusted():  # rounded up to a power of ten
+            y = y.quantize(Decimal(1).scaleb(exp + 1))
+    return format(y, "f")
+
+
+def test_decimal_matches_the_decimal_module():
+    rng = random.Random(29)
+    for _ in range(1500):
+        num = rng.randint(1, 10 ** 6)
+        # a power-of-ten denominator makes exact ties at the last digit
+        den = rng.choice((rng.randint(1, 10 ** 6), 10 ** rng.randint(0, 6)))
+        value = Radical(Fraction(num, den), rng.choice((1, 1, 2, 3, 5, 12)))
+        digits = rng.randint(1, 15)
+        assert value.to_decimal(digits) == _decimal_reference(value, digits), (value, digits)
 
 
 def _random_radical(rng):

@@ -1,7 +1,10 @@
 import inspect
 import json
 
+import pytest
+
 import codelattice.verify as verify
+from codelattice.invariants import BERGE_MARTINET, RANKIN
 from codelattice.verify import OPEN_CONSTANTS_NOTE, render_report, run_checks
 
 
@@ -71,7 +74,8 @@ def test_failures_recorded_not_raised():
 
 def test_checks_return_claim_lists():
     # eager functions: a timer around the call must see the check's work
-    ctx = verify._Context(10_000_000, verify._family_corpus(), verify._random_codes(5))
+    known = {(f.kind, f.n, f.l): f for f in verify.known_facts()}
+    ctx = verify._Context(10_000_000, verify._family_corpus(), verify._random_codes(5), known)
     for check_id, fn in verify.CHECKS:
         assert not inspect.isgeneratorfunction(fn), check_id
         claims = fn(ctx)
@@ -98,3 +102,30 @@ def test_bound_interval_seeds_honour_the_cap():
     assert "cap 30" in result.detail
     [result] = [r for r in run_checks("bound_intervals", cap=50) if r.status != "skipped"]
     assert result.status == "pass"
+
+
+# Each known constant that a check recomputes, and that check.  `bounds`
+# seeds from the same table, so a wrong entry must fail the check.
+RECOMPUTED_FACTS = [
+    (RANKIN, 3, 1, "parity_check_family"),
+    (RANKIN, 4, 1, "parity_check_family"),
+    (RANKIN, 5, 1, "parity_check_family"),
+    (RANKIN, 4, 2, "rm_last_order"),
+    (RANKIN, 8, 1, "cardinality_bound_tightness"),
+    (RANKIN, 8, 2, "rm_first_order"),
+    (BERGE_MARTINET, 3, 1, "dual_parity_check"),
+    (BERGE_MARTINET, 4, 1, "dual_parity_check"),
+    (BERGE_MARTINET, 5, 1, "dual_parity_check"),
+    (BERGE_MARTINET, 4, 2, "dual_parity_check"),
+]
+
+
+@pytest.mark.parametrize("kind, n, l, check_id", RECOMPUTED_FACTS)
+def test_a_doubled_known_constant_fails_its_check(monkeypatch, kind, n, l, check_id):
+    table = verify.known_facts()
+    doubled = [f._replace(value=2 * f.value) if f[:3] == (kind, n, l) else f for f in table]
+    assert doubled != table
+    monkeypatch.setattr(verify, "known_facts", lambda: doubled)
+    [result] = [r for r in run_checks(check_id, random_codes=0) if r.status != "skipped"]
+    assert result.check_id == check_id
+    assert result.status == "fail", result
