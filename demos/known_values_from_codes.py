@@ -6,9 +6,9 @@ determinant, and evaluate the invariant as an exact radical.
 """
 
 from codelattice import (
+    KNOWN_FACTS,
     berge_martinet_invariant,
     construction_a,
-    known_facts,
     minimal_sublattice,
     parity_check_code,
     rankin_invariant,
@@ -25,16 +25,14 @@ CASES = [
     ("E8 (scaled)", reed_muller_code(1, 3), 2),
 ]
 
-table = {(f.kind, f.n, f.l): f.value for f in known_facts()}
-
 print("Rankin invariants from code constructions")
 print("=" * 60)
 for name, code, l in CASES:
     lattice = construction_a(code)
     cert = minimal_sublattice(lattice, l)
     value = rankin_invariant(lattice, cert)
-    known = table.get((RANKIN, lattice.n, l))
-    mark = "matches the known constant" if value == known else "lattice value"
+    fact = KNOWN_FACTS.get((RANKIN, lattice.n, l))
+    mark = "matches the known constant" if fact and value == fact.value else "lattice value"
     print(f"n={lattice.n} l={l}  {name}")
     print(f"  d_{l} = {cert.value}")
     print(f"  gamma = {value} = {value.to_decimal(6)}   [{mark}]")

@@ -156,11 +156,19 @@ def _cache_path(cache_dir: str, key: str) -> str:
 
 
 def _cache_load(cache_dir, lattice, l) -> SearchCertificate | None:
-    path = _cache_path(cache_dir, _cache_key(lattice, l))
+    """The stored certificate, or None for a miss.  An entry that cannot be
+    opened or read (missing, or a file or directory in the way) is a miss;
+    one that does not parse, names another key, or fails the certificate
+    check is a miss with a warning."""
+    key = _cache_key(lattice, l)
+    path = _cache_path(cache_dir, key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return _certificate_from_doc(json.load(fh), lattice, l)
-    except FileNotFoundError:
+            doc = json.load(fh)
+        if doc["key"] != key:  # an entry copied from another lattice's path
+            raise ValueError(f"entry is for key {doc['key']}")
+        return _certificate_from_doc(doc, lattice, l)
+    except OSError:
         return None
     except Exception as exc:
         print(f"warning: ignoring corrupt cache entry {path}: {exc}", file=sys.stderr)

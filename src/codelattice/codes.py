@@ -32,7 +32,6 @@ __all__ = [
     "weight_report",
     "rank2_code_bound",
     "dual_code",
-    "same_row_space",
     "is_self_dual",
     "minimal_lift",
     "code_document",
@@ -125,7 +124,6 @@ class WeightReport(NamedTuple):
 
     d_hamming: int
     d_euclidean: int
-    witness: tuple[int, ...]
     max_lift_sq: int
 
 
@@ -133,7 +131,7 @@ def minimal_lift(word, q: int) -> tuple[int, ...]:
     """Shortest integer lift of a word in Z_q^n.
 
     Entry a maps to a when a^2 <= (q-a)^2 and to a-q otherwise; the tie at
-    a = q/2 (q even) keeps +q/2, which makes the witness deterministic.
+    a = q/2 (q even) keeps +q/2, which makes the lift deterministic.
     """
     out = []
     for a in word:
@@ -154,28 +152,25 @@ def weight_report(code: LinearCode, cap: int = DEFAULT_CAP) -> WeightReport:
 
 
 def _weights(code: LinearCode) -> WeightReport:
+    """One pass over the codewords; sq holds the squared entries of a
+    word's shortest lift (`minimal_lift`), all 0 for the zero word."""
     q = code.q
-    d_h = None
-    d_e = None
-    witness = None
-    best_words = []
+    d_h = d_e = b2 = None
     for w in code.codewords():
-        if not any(w):
+        sq = [min(a * a, (q - a) * (q - a)) for a in w]
+        we = sum(sq)
+        if not we:
             continue
-        wh = sum(1 for a in w if a)
-        we = sum(min(a * a, (q - a) * (q - a)) for a in w)
+        wh = len(sq) - sq.count(0)
         if d_h is None or wh < d_h:
             d_h = wh
         if d_e is None or we < d_e:
-            d_e = we
-            best_words = [w]
-            witness = w
+            d_e, b2 = we, max(sq)
         elif we == d_e:
-            best_words.append(w)
+            b2 = max(b2, *sq)
     if d_e is None:
         raise ValueError("code has no nonzero codeword")
-    b2 = max(max(e * e for e in minimal_lift(w, q)) for w in best_words)
-    return WeightReport(d_h, d_e, witness, b2)
+    return WeightReport(d_h, d_e, b2)
 
 
 def rank2_code_bound(code: LinearCode) -> int:
@@ -328,13 +323,8 @@ def dual_code(code: LinearCode) -> LinearCode:
     return code._dual
 
 
-def same_row_space(a: LinearCode, b: LinearCode) -> bool:
-    """Equality as codes: identical Construction A lattices."""
-    return a.q == b.q and a.n == b.n and a.lattice() == b.lattice()
-
-
 def is_self_dual(code: LinearCode) -> bool:
-    return same_row_space(code, dual_code(code))
+    return code.lattice() == dual_code(code).lattice()
 
 
 # -- documents ------------------------------------------------------------

@@ -16,7 +16,7 @@ from functools import total_ordering
 from math import isqrt, lcm
 from operator import index
 
-__all__ = ["Radical", "compare", "integer_root", "exact_root", "positional"]
+__all__ = ["Radical", "integer_root", "exact_root", "positional"]
 
 
 def integer_root(n: int, k: int) -> int:
@@ -249,8 +249,3 @@ class Radical:
 
     def __repr__(self) -> str:
         return f"Radical({self.radicand!r}, {self.root})"
-
-
-def compare(a: Radical, b: Radical) -> int:
-    """Total-order comparison: -1, 0 or +1 as a <, ==, > b."""
-    return a._cmp(b)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 from .codes import LinearCode, dual_code, is_self_dual, parity_check_code
-from .enumeration import DEFAULT_CAP
+from .enumeration import DEFAULT_CAP, HERMITE_POWER
 from .exact import Radical, positional
 from .lattices import IntegralLattice, gamma_ratio
 from .sublattice_search import SearchCertificate, minimal_sublattice
@@ -27,8 +27,7 @@ __all__ = [
     "InconsistentBounds",
     "RANKIN",
     "BERGE_MARTINET",
-    "known_facts",
-    "known_fact",
+    "KNOWN_FACTS",
     "known_fact_seeds",
     "standard_seeds",
     "rankin_invariant",
@@ -52,44 +51,35 @@ class KnownFact(NamedTuple):
     source: str
 
 
-def known_facts() -> list[KnownFact]:
-    """All exactly known Rankin / Berge-Martinet constants up to n = 8."""
-    r = Radical
-    f = Fraction
-    facts = [
-        (RANKIN, 2, 1, r(f(4, 3), 2), "A2"),
-        (RANKIN, 3, 1, r(2, 3), "A3=D3"),
-        (RANKIN, 4, 1, r(2, 2), "D4"),
-        (RANKIN, 4, 2, r(f(3, 2)), "D4"),
-        (RANKIN, 5, 1, r(8, 5), "D5"),
-        (RANKIN, 6, 1, r(f(64, 3), 6), "E6"),
-        (RANKIN, 6, 2, r(9, 3), "E6"),
-        (RANKIN, 7, 1, r(64, 7), "E7"),
-        (RANKIN, 8, 1, r(2), "E8"),
-        (RANKIN, 8, 2, r(3), "E8"),
-        (RANKIN, 8, 3, r(4), "E8"),
-        (RANKIN, 8, 4, r(4), "E8"),
-        (BERGE_MARTINET, 2, 1, r(f(4, 3), 2), ""),
-        (BERGE_MARTINET, 3, 1, r(f(3, 2), 2), "D3"),
-        (BERGE_MARTINET, 4, 1, r(2, 2), "D4"),
-        (BERGE_MARTINET, 4, 2, r(f(3, 2)), "D4"),
-        (BERGE_MARTINET, 5, 1, r(2, 2), "D5"),
-        (BERGE_MARTINET, 6, 1, r(f(8, 3), 2), ""),
-        (BERGE_MARTINET, 6, 2, r(2), "E6"),
-        (BERGE_MARTINET, 7, 1, r(3, 2), ""),
-        (BERGE_MARTINET, 8, 1, r(2), "E8"),
-        (BERGE_MARTINET, 8, 2, r(3), "E8"),
-        (BERGE_MARTINET, 8, 3, r(4), "E8"),
-        (BERGE_MARTINET, 8, 4, r(4), "E8"),
-    ]
-    return [KnownFact(*t) for t in facts]
-
-
-def known_fact(kind: str, n: int, l: int) -> KnownFact | None:
-    for fact in known_facts():
-        if (fact.kind, fact.n, fact.l) == (kind, n, l):
-            return fact
-    return None
+# Every exactly known Rankin / Berge-Martinet constant up to n = 8, keyed by
+# (kind, n, l) and read-only.  The gamma_{n,1} rows are Hermite's constants,
+# stated once as HERMITE_POWER, whose powers the searches prune with.
+KNOWN_FACTS = MappingProxyType({
+    (kind, n, l): KnownFact(kind, n, l, value, source)
+    for kind, n, l, value, source in (
+        *(
+            (RANKIN, n, 1, Radical(HERMITE_POWER[n], n), source)
+            for n, source in enumerate(("A2", "A3=D3", "D4", "D5", "E6", "E7", "E8"), 2)
+        ),
+        (RANKIN, 4, 2, Radical(Fraction(3, 2)), "D4"),
+        (RANKIN, 6, 2, Radical(9, 3), "E6"),
+        (RANKIN, 8, 2, Radical(3), "E8"),
+        (RANKIN, 8, 3, Radical(4), "E8"),
+        (RANKIN, 8, 4, Radical(4), "E8"),
+        (BERGE_MARTINET, 2, 1, Radical(Fraction(4, 3), 2), ""),
+        (BERGE_MARTINET, 3, 1, Radical(Fraction(3, 2), 2), "D3"),
+        (BERGE_MARTINET, 4, 1, Radical(2, 2), "D4"),
+        (BERGE_MARTINET, 4, 2, Radical(Fraction(3, 2)), "D4"),
+        (BERGE_MARTINET, 5, 1, Radical(2, 2), "D5"),
+        (BERGE_MARTINET, 6, 1, Radical(Fraction(8, 3), 2), ""),
+        (BERGE_MARTINET, 6, 2, Radical(2), "E6"),
+        (BERGE_MARTINET, 7, 1, Radical(3, 2), ""),
+        (BERGE_MARTINET, 8, 1, Radical(2), "E8"),
+        (BERGE_MARTINET, 8, 2, Radical(3), "E8"),
+        (BERGE_MARTINET, 8, 3, Radical(4), "E8"),
+        (BERGE_MARTINET, 8, 4, Radical(4), "E8"),
+    )
+})
 
 
 # -- per-lattice invariants ------------------------------------------------
@@ -161,7 +151,7 @@ class PropagationResult(NamedTuple):
 
 def known_fact_seeds(n_max: int) -> list[BoundInterval]:
     seeds = []
-    for fact in known_facts():
+    for fact in KNOWN_FACTS.values():
         if fact.n <= n_max:
             src = f" ({fact.source})" if fact.source else ""
             seeds.append(

@@ -291,11 +291,6 @@ class IntegralLattice:
     def __contains__(self, v) -> bool:
         return self.coefficients_of(v) is not None
 
-    def scaled(self, s: int) -> "IntegralLattice":
-        return IntegralLattice.from_rows(
-            [[s * e for e in row] for row in self.basis]
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegralLattice) and self.basis == other.basis
 
@@ -338,20 +333,18 @@ class Sublattice:
     NotInLattice) and the rows have full rank (else RankDeficient); the
     Gram matrix and its determinant are computed from the rows."""
 
-    __slots__ = ("ambient", "rows", "gram_l", "det_l", "l")
+    __slots__ = ("ambient", "rows", "det_l", "l")
 
     def __init__(self, ambient: IntegralLattice, rows):
         rows = tuple(tuple(map(index, r)) for r in rows)
         for r in rows:
             if ambient.coefficients_of(r) is None:
                 raise NotInLattice(f"row {list(r)} is not a lattice member")
-        gram = gram_matrix(rows)
-        det = det_int(gram)
+        det = det_int(gram_matrix(rows))
         if det <= 0:
             raise RankDeficient(f"rows span less than rank {len(rows)}")
         self.ambient = ambient
         self.rows = rows
-        self.gram_l = tuple(map(tuple, gram))
         self.det_l = det
         self.l = len(rows)
 

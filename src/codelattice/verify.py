@@ -46,9 +46,9 @@ from .codes import (
 from .exact import Radical
 from .invariants import (
     BERGE_MARTINET,
+    KNOWN_FACTS,
     RANKIN,
     berge_martinet_invariant,
-    known_facts,
     propagate_bounds,
     rankin_invariant,
     standard_seeds,
@@ -92,16 +92,20 @@ DUAL_Q = (2, 3)
 SEED = 20240
 
 
-class _Context(NamedTuple):
+class _Context:
     """What every check reads; built once per `run_checks` call, so the
     lattices and duals the corpus codes cache are shared by the checks.
-    `known` holds `known_facts()` by (kind, n, l): the values that `bounds`
-    seeds from, which the checks recompute."""
+    search(lattice, l) is `minimal_sublattice` under the cap and
+    minimum(lattice) is `lattice_minimum`, each memoised: a lattice hashes
+    and compares by its basis, so equal lattices that two checks build
+    share one answer, and no check can search without the cap."""
 
-    cap: int
-    family: list[LinearCode]
-    random: list[LinearCode]
-    known: dict
+    __slots__ = ("cap", "family", "random", "search", "minimum")
+
+    def __init__(self, cap: int, family: list[LinearCode], random: list[LinearCode]):
+        self.cap, self.family, self.random = cap, family, random
+        self.search = functools.cache(lambda lattice, l: minimal_sublattice(lattice, l, cap=cap))
+        self.minimum = functools.cache(lattice_minimum)
 
 
 def _random_codes(count: int) -> list[LinearCode]:
@@ -161,7 +165,7 @@ def _check_d1_formula(ctx):
         expect = code.q ** 2
         if code.generators:
             expect = min(expect, weight_report(code, ctx.cap).d_euclidean)
-        got, _ = lattice_minimum(code.lattice())
+        got, _ = ctx.minimum(code.lattice())
         if got != expect:
             mismatches.append((code.q, code.n, expect, got))
     return [_tally("mismatches", mismatches, len(codes))]
@@ -176,11 +180,11 @@ def _check_rank2_code_bound(ctx):
             continue
         total += 1
         bound = rank2_code_bound(_enumerable(code, ctx.cap))
-        cert = minimal_sublattice(code.lattice(), 2, cap=ctx.cap)
+        cert = ctx.search(code.lattice(), 2)
         violations += cert.value > bound
     rm = reed_muller_code(1, 3)
     bound_rm = rank2_code_bound(rm)
-    d2_rm = minimal_sublattice(rm.lattice(), 2, cap=ctx.cap).value
+    d2_rm = ctx.search(rm.lattice(), 2).value
     gamma_bound = Radical(min(Fraction(1), Fraction(bound_rm, 16)), 1) * Radical(
         Fraction(rm.cardinality), 1
     ) ** Fraction(4, 8)
@@ -198,7 +202,7 @@ def _check_even_lattice_rank2(ctx):
     claims = []
     for name, code in named:
         lat = code.lattice()
-        d2 = minimal_sublattice(lat, 2, cap=ctx.cap).value
+        d2 = ctx.search(lat, 2).value
         even = is_even(lat) and d2 >= 3
         claims.append(("even d2>=3", "even d2>=3" if even else f"violation {name}"))
     zn = IntegralLattice.from_rows([[1 if j == i else 0 for j in range(4)] for i in range(4)])
@@ -243,13 +247,13 @@ def _check_parity_check_family(ctx):
     claims = []
     for n in (3, 4, 5):
         lat = parity_check_code(n, 2).lattice()
-        cert = minimal_sublattice(lat, 1, cap=ctx.cap)
-        fact = ctx.known[RANKIN, n, 1].value
+        cert = ctx.search(lat, 1)
+        fact = KNOWN_FACTS[RANKIN, n, 1].value
         claims.append((f"gamma({n},1)={fact}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
     for q in PRIMAL_Q:
         for n in PARITY_N:
             lat = parity_check_code(n, q).lattice()
-            cert = minimal_sublattice(lat, 2, cap=ctx.cap)
+            cert = ctx.search(lat, 2)
             expected_gamma = Radical(Fraction(3 ** n, q ** 4), n)
             claims.append((f"d2(n={n},q={q})=3", f"d2(n={n},q={q})={cert.value}"))
             claims.append((f"g2={expected_gamma}", f"g2={rankin_invariant(lat, cert)}"))
@@ -319,22 +323,30 @@ def _check_rm_row_determinants(ctx):
 
 
 def _check_rm_first_order(ctx):
-    """First-order Reed-Muller lattices: Hermite values and subratios."""
+    """First-order Reed-Muller lattices: Hermite values, subratios, and E8's
+    Rankin and Berge-Martinet constants at ranks 1-4."""
     claims = []
     lats = {m: reed_muller_code(1, m).lattice() for m in (2, 3, 4)}
     # Hermite values: sqrt(2) at m=2, then 2^(2(m+1)/2^m)
     for m, lat in lats.items():
         n = 1 << m
-        cert = minimal_sublattice(lat, 1, cap=ctx.cap)
+        cert = ctx.search(lat, 1)
         expect = Radical(2, 2) if m == 2 else Radical(2) ** Fraction(2 * (m + 1), n)
         claims.append((f"gamma({n},1)={expect}", f"gamma({n},1)={rankin_invariant(lat, cert)}"))
     # rank-2 subratio 3 at m=3; the Rankin invariant itself is 3 there
     lat3, prime3 = lats[3], _first_order_allones_rows(3)
     sub = Sublattice(lat3, [prime3[1], prime3[2]])
     claims.append(("ratio(8,2)=3", f"ratio(8,2)={gamma_ratio(lat3, sub)}"))
-    cert2 = minimal_sublattice(lat3, 2, cap=ctx.cap)
-    fact = ctx.known[RANKIN, 8, 2].value
-    claims.append((f"gamma(8,2)={fact}", f"gamma(8,2)={rankin_invariant(lat3, cert2)}"))
+    # E8 at ranks 1-4, the known constants that `bounds` seeds from;
+    # L_RM(1,3) is self-dual, so each search serves both invariants
+    rm3 = reed_muller_code(1, 3)
+    for l in (1, 2, 3, 4):
+        fact = KNOWN_FACTS[RANKIN, 8, l].value
+        got = rankin_invariant(lat3, ctx.search(lat3, l))
+        claims.append((f"gamma(8,{l})={fact}", f"gamma(8,{l})={got}"))
+        fact = KNOWN_FACTS[BERGE_MARTINET, 8, l].value
+        got = berge_martinet_invariant(rm3, l, ctx.search)
+        claims.append((f"g'(8,{l})={fact}", f"g'(8,{l})={got}"))
     # m=4, l=2: the q-hypercube plane beats the generator-row planes
     lat4, prime4 = lats[4], _first_order_allones_rows(4)
     cands = {
@@ -392,7 +404,7 @@ def _check_rm_last_order(ctx):
         lat = reed_muller_code(m - 1, m).lattice()
         same = lat == parity_check_code(n, 2).lattice()
         claims.append((f"m={m} same lattice", f"m={m} same lattice" if same else f"m={m} differ"))
-        cert1 = minimal_sublattice(lat, 1, cap=ctx.cap)
+        cert1 = ctx.search(lat, 1)
         expect1 = Radical(Fraction(2 ** n, 4), n)  # 2 / 2^(2/n)
         claims.append((f"gamma({n},1)={expect1}", f"gamma({n},1)={rankin_invariant(lat, cert1)}"))
         prime = _first_order_allones_rows(m)
@@ -405,8 +417,8 @@ def _check_rm_last_order(ctx):
             claims.append((f"ratio({n},3)={expect3}", f"ratio({n},3)={gamma_ratio(lat, sub3)}"))
     # at m=2 the rank-2 upper bound from the subratio is attained: 3/2
     lat4 = parity_check_code(4, 2).lattice()
-    cert = minimal_sublattice(lat4, 2, cap=ctx.cap)
-    fact = ctx.known[RANKIN, 4, 2].value
+    cert = ctx.search(lat4, 2)
+    fact = KNOWN_FACTS[RANKIN, 4, 2].value
     claims.append((f"gamma(4,2)={fact}", f"gamma(4,2)={rankin_invariant(lat4, cert)}"))
     return claims
 
@@ -414,38 +426,34 @@ def _check_rm_last_order(ctx):
 def _check_dual_parity_check(ctx):
     """Dual of the single parity check code: minima, d2 formula, invariants."""
 
-    def search(lattice, l):
-        return minimal_sublattice(lattice, l, cap=ctx.cap)
-
     # one code object per (n, q), so that its lattice and dual are built once
     code = functools.cache(parity_check_code)
 
-    @functools.cache
     def gamma_prime(n, q, l):
-        return berge_martinet_invariant(code(n, q), l, search)
+        return berge_martinet_invariant(code(n, q), l, ctx.search)
 
     claims = []
     # d1 of the dual-code lattice and the rank-1 dual invariant
     for q in DUAL_Q:
         for n in PARITY_N:
-            got, _ = lattice_minimum(dual_code(code(n, q)).lattice())
+            got, _ = ctx.minimum(dual_code(code(n, q)).lattice())
             claims.append((f"d1*(n={n},q={q})={min(n, q * q)}", f"d1*(n={n},q={q})={got}"))
             expect1 = Radical(Fraction(2 * min(n, q * q), q * q), 2)
             claims.append((f"g'1={expect1}", f"g'1={gamma_prime(n, q, 1)}"))
     # q = 2 rank-1 values: 1 at n = 2, the known constants at n = 3, 4, 5
     for n in (2, 3, 4, 5):
-        expect = ctx.known[BERGE_MARTINET, n, 1].value if n > 2 else Radical(1)
+        expect = KNOWN_FACTS[BERGE_MARTINET, n, 1].value if n > 2 else Radical(1)
         claims.append((f"g'({n},1)={expect}", f"g'({n},1)={gamma_prime(n, 2, 1)}"))
     # d2 of the dual-code lattice
     for q in DUAL_Q:
         for n in PARITY_N:
             dual_lat = dual_code(code(n, q)).lattice()
-            cert = minimal_sublattice(dual_lat, 2, cap=ctx.cap)
+            cert = ctx.search(dual_lat, 2)
             expect_d2 = min(q ** 4, q * q * (n - 1))
             claims.append((f"d2*(n={n},q={q})={expect_d2}", f"d2*(n={n},q={q})={cert.value}"))
             expect2 = Radical(Fraction(3 * min(q * q, n - 1), q * q), 2)
             claims.append((f"g'2={expect2}", f"g'2={gamma_prime(n, q, 2)}"))
-    fact = ctx.known[BERGE_MARTINET, 4, 2].value
+    fact = KNOWN_FACTS[BERGE_MARTINET, 4, 2].value
     claims.append((f"g'(4,2)={fact}", f"g'(4,2)={gamma_prime(4, 2, 2)}"))
     sqrt3 = Radical(3, 2)
     for n in (5, 6, 7):
@@ -482,18 +490,18 @@ def _check_cardinality_bound_tightness(ctx):
     """gamma_{n,l}(L_C) <= |C|^(2l/n), attained by R(1,3) at l = 1."""
     rm = reed_muller_code(1, 3)
     lat = rm.lattice()
-    g81 = rankin_invariant(lat, minimal_sublattice(lat, 1, cap=ctx.cap))
+    g81 = rankin_invariant(lat, ctx.search(lat, 1))
     bound = Radical(Fraction(rm.cardinality)) ** Fraction(2, 8)
     violations = 0
     for code in ctx.family:
         clat = code.lattice()
         for l in (1, 2):
-            c = minimal_sublattice(clat, l, cap=ctx.cap)
+            c = ctx.search(clat, l)
             card = Radical(Fraction(code.cardinality))
             violations += rankin_invariant(clat, c) > card ** Fraction(2 * l, code.n)
     holds = "bound holds on corpus"
     return [
-        (f"gamma(8,1)={ctx.known[RANKIN, 8, 1].value}", f"gamma(8,1)={g81}"),
+        (f"gamma(8,1)={KNOWN_FACTS[RANKIN, 8, 1].value}", f"gamma(8,1)={g81}"),
         ("cap=2", f"cap={bound}"),
         (holds, f"{violations} violations" if violations else holds),
     ]
@@ -531,7 +539,7 @@ def _check_a2_benchmark(ctx):
     dual = [[g[1][1] / det, -g[0][1] / det], [-g[1][0] / det, g[0][0] / det]]
     dual_min = _form_minimum(dual, 2)
     value = (Radical(primal_min) * Radical(dual_min)) ** Fraction(1, 2)
-    fact = ctx.known[BERGE_MARTINET, 2, 1]
+    fact = KNOWN_FACTS[BERGE_MARTINET, 2, 1]
     source = "no code construction recorded" if fact.source == "" else f"source={fact.source}"
     return [
         (f"g'(2,1)={fact.value}", f"g'(2,1)={value}"),
@@ -568,8 +576,7 @@ def run_checks(
     corpus and `cap` caps the sublattice searches and codeword enumerations
     that the checks run.
     """
-    known = {(fact.kind, fact.n, fact.l): fact for fact in known_facts()}
-    ctx = _Context(cap, _family_corpus(), _random_codes(random_codes), known)
+    ctx = _Context(cap, _family_corpus(), _random_codes(random_codes))
     results = []
     for check_id, fn in CHECKS:
         if filter and filter not in check_id and not fnmatch.fnmatch(check_id, filter):

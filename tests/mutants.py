@@ -272,8 +272,30 @@ MUTANTS = (
     (
         "E8's gamma(8,2) entry taken as 4",
         "invariants.py",
-        '(RANKIN, 8, 2, r(3), "E8"),',
-        '(RANKIN, 8, 2, r(4), "E8"),',
+        '(RANKIN, 8, 2, Radical(3), "E8"),',
+        '(RANKIN, 8, 2, Radical(4), "E8"),',
+        "test_verify",
+    ),
+    (
+        "E8's gamma'(8,3) entry taken as 5",
+        "invariants.py",
+        '(BERGE_MARTINET, 8, 3, Radical(4), "E8"),',
+        '(BERGE_MARTINET, 8, 3, Radical(5), "E8"),',
+        "test_verify",
+    ),
+    (
+        "HERMITE_POWER[6] taken as 64/5",
+        "enumeration.py",
+        "6: Fraction(64, 3),",
+        "6: Fraction(64, 5),",
+        "test_search",
+    ),
+    # -- the verify suite -----------------------------------------------------
+    (
+        "ctx.search drops the cap",
+        "verify.py",
+        "minimal_sublattice(lattice, l, cap=cap)",
+        "minimal_sublattice(lattice, l)",
         "test_verify",
     ),
     # -- the decimal rendering ------------------------------------------------
@@ -289,6 +311,13 @@ MUTANTS = (
         "cache loader's rank check deleted",
         "cli.py",
         'if document_int(doc["l"], "l") != l:',
+        "if False:",
+        "test_cli",
+    ),
+    (
+        "cache loader's key check deleted",
+        "cli.py",
+        'if doc["key"] != key:',
         "if False:",
         "test_cli",
     ),

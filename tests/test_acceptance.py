@@ -18,7 +18,6 @@ from codelattice.codes import (
     parity_check_code,
     reed_muller_code,
     reed_muller_generators,
-    same_row_space,
 )
 from codelattice.enumeration import lattice_minimum, short_vectors
 from codelattice.exact import Radical
@@ -31,6 +30,7 @@ from codelattice.invariants import (
     standard_seeds,
 )
 from codelattice.lattices import (
+    IntegralLattice,
     construction_a,
     det_int,
     gram_matrix,
@@ -237,7 +237,7 @@ def test_criterion_7_property_suites():
                 if l > lat.n:
                     continue
                 cert = minimal_sublattice(lat, l, upper_hint=c.q ** (2 * l))
-                scaled = lat.scaled(s)
+                scaled = IntegralLattice.from_rows([[s * e for e in row] for row in lat.basis])
                 scert = minimal_sublattice(scaled, l)
                 if rankin_invariant(lat, cert) != rankin_invariant(scaled, scert):
                     violations.append(("scaling", c.q, c.n, s, l))
@@ -248,7 +248,7 @@ def test_criterion_7_property_suites():
         d = dual_code(c)
         if c.cardinality * d.cardinality != c.q ** c.n:
             violations.append(("cardinality", c.q, c.n))
-        if not same_row_space(dual_code(d), c):
+        if dual_code(d).lattice() != c.lattice():
             violations.append(("double dual", c.q, c.n))
 
     # enumeration doubling stability

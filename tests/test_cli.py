@@ -94,6 +94,22 @@ def test_entry_of_the_wrong_shape_is_recomputed(cache, capsys, edit):
     assert out == cold_out
 
 
+def test_entry_copied_from_another_lattice_is_recomputed(cache, capsys):
+    # 2Z^4 lies inside D4, so its certificate passes D4's membership and
+    # determinant checks; only the entry's own key tells the two apart
+    d4 = ["--family", "parity_check", "--n", "4", "--q", "2", "--l", "2", "--format", "csv"]
+    _, cold_out, _ = _run(capsys, ["gamma", *d4])
+    [d4_entry] = cache.rglob("*.json")
+    _run(capsys, ["dl", "--family", "zero", "--n", "4", "--q", "2", "--l", "2"])
+    [zero_entry] = set(cache.rglob("*.json")) - {d4_entry}
+    d4_entry.write_bytes(zero_entry.read_bytes())
+    code, out, err = _run(capsys, ["gamma", *d4])
+    assert code == 0
+    assert f"warning: ignoring corrupt cache entry {d4_entry}: " in err
+    assert out == cold_out and ",1.50000," in out
+    assert json.loads(d4_entry.read_text())["value"] == 3
+
+
 def test_corrupt_cache_ignored(cache, capsys):
     argv = ["dl", "--family", "parity_check", "--n", "3", "--q", "2", "--l", "1", "--format", "json"]
     _run(capsys, argv)
@@ -450,7 +466,8 @@ def test_cache_entry_that_cannot_be_written_exits_2(cache, capsys, blocked):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert f"error: unusable cache entry {entry}: " in err
-    assert "Traceback" not in err
+    # the blocked path is no corrupt entry: reading it is a plain miss
+    assert "warning:" not in err and "Traceback" not in err
     assert not list(cache.rglob("*.tmp"))
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from codelattice.exact import Radical, compare, exact_root, integer_root
+from codelattice.exact import Radical, exact_root, integer_root
 
 
 def test_integer_root():
@@ -29,11 +29,10 @@ def test_canonical_forms():
 
 
 def test_compare_examples():
-    assert compare(Radical(2, 3), Radical(2, 3)) == 0
+    assert Radical(2, 3) == Radical(2, 3)
     # 3/4^(2/5) = (3^5/4^2)^(1/5) is below 2
-    assert compare(Radical(Fraction(243, 16), 5), Radical(2)) < 0
+    assert Radical(Fraction(243, 16), 5) < Radical(2)
     # 8^(1/5) < 2 because 8 < 2^5
-    assert compare(Radical(8, 5), Radical(2)) < 0
     assert Radical(8, 5) < Radical(2) < Radical(9, 3)
 
 
@@ -107,9 +106,9 @@ def test_total_order_on_random_triples():
     rng = random.Random(7)
     for _ in range(300):
         a, b, c = (_random_radical(rng) for _ in range(3))
-        # antisymmetry
-        assert (compare(a, b) == 0) == (a == b)
-        assert compare(a, b) == -compare(b, a)
+        # trichotomy and antisymmetry
+        assert [a < b, a == b, a > b].count(True) == 1
+        assert (a < b) == (b > a)
         # transitivity
         if a <= b and b <= c:
             assert a <= c

@@ -11,14 +11,13 @@ from codelattice.codes import (
 from codelattice.exact import Radical
 from codelattice.invariants import (
     BERGE_MARTINET,
+    KNOWN_FACTS,
     RANKIN,
     BoundInterval,
     InconsistentBounds,
     asymptotic_bounds,
     berge_martinet_invariant,
-    known_fact,
     known_fact_seeds,
-    known_facts,
     propagate_bounds,
     rankin_invariant,
     standard_seeds,
@@ -35,12 +34,15 @@ def _gamma_of(code, l):
 
 
 def test_known_facts_table():
-    assert known_fact(RANKIN, 6, 2).value == Radical(9, 3)
-    assert known_fact(RANKIN, 2, 1).value == Radical(Fraction(4, 3), 2)
-    assert known_fact(RANKIN, 5, 2) is None
-    assert len(known_facts()) == 24
+    assert KNOWN_FACTS[RANKIN, 6, 2].value == Radical(9, 3)
+    assert KNOWN_FACTS[RANKIN, 2, 1].value == Radical(Fraction(4, 3), 2)
+    assert (RANKIN, 5, 2) not in KNOWN_FACTS
+    assert len(KNOWN_FACTS) == 24
+    assert all(key == fact[:3] for key, fact in KNOWN_FACTS.items())
+    with pytest.raises(TypeError):
+        KNOWN_FACTS[RANKIN, 5, 2] = KNOWN_FACTS[RANKIN, 6, 2]
     with pytest.raises(AttributeError):
-        known_fact(RANKIN, 6, 2).value = Radical(1)
+        KNOWN_FACTS[RANKIN, 6, 2].value = Radical(1)
 
 
 def test_bound_interval_record():
@@ -77,7 +79,7 @@ def test_construction_reproduces_marked_facts():
         (RANKIN, 8, 2, reed_muller_code(1, 3), 2),
     ]
     for kind, n, l, code, rank in marked:
-        assert _gamma_of(code, rank) == known_fact(kind, n, l).value
+        assert _gamma_of(code, rank) == KNOWN_FACTS[kind, n, l].value
     marked_prime = [
         (BERGE_MARTINET, 3, 1, parity_check_code(3, 2), 1),
         (BERGE_MARTINET, 4, 1, parity_check_code(4, 2), 1),
@@ -87,7 +89,7 @@ def test_construction_reproduces_marked_facts():
         (BERGE_MARTINET, 8, 2, reed_muller_code(1, 3), 2),
     ]
     for kind, n, l, code, rank in marked_prime:
-        assert berge_martinet_invariant(code, rank) == known_fact(kind, n, l).value
+        assert berge_martinet_invariant(code, rank) == KNOWN_FACTS[kind, n, l].value
 
 
 def test_berge_martinet_examples():
@@ -204,7 +206,7 @@ def test_propagation_monotone_and_consistent():
 
 def test_exact_cells_stay_exact():
     res = propagate_bounds(8, standard_seeds(8))
-    for fact in known_facts():
+    for fact in KNOWN_FACTS.values():
         if fact.n <= 8:
             cell = res.cell(fact.kind, fact.n, fact.l)
             assert cell.lower == fact.value

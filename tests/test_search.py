@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from codelattice.enumeration import (
     short_vectors,
 )
 from codelattice.exact import Radical
-from codelattice.invariants import RANKIN, known_facts, rankin_invariant
+from codelattice.invariants import KNOWN_FACTS, RANKIN, rankin_invariant
 from codelattice.lattices import (
     IntegralLattice,
     NotInLattice,
@@ -174,7 +175,7 @@ def test_scaling_covariance():
     for s in (2, 3):
         for l in (1, 2):
             lat = construction_a(parity_check_code(4, 2))
-            scaled = lat.scaled(s)
+            scaled = IntegralLattice.from_rows([[s * e for e in row] for row in lat.basis])
             a = minimal_sublattice(lat, l, upper_hint=16).value
             b = minimal_sublattice(scaled, l).value
             assert b == a * s ** (2 * l)
@@ -217,17 +218,27 @@ def test_rank4_e8_pinned():
         (0, 0, 0, 0, 1, -1, -1, -1),
     )
     assert cert.confirmed_by_escalation
-    facts = {(f.kind, f.n, f.l): f.value for f in known_facts()}
-    assert rankin_invariant(lat, cert) == facts[(RANKIN, 8, 4)] == Radical(4)
+    assert rankin_invariant(lat, cert) == KNOWN_FACTS[RANKIN, 8, 4].value == Radical(4)
 
 
 def test_hermite_powers_match_known_facts():
-    # gamma_l**l from the exactly known Hermite constants gamma_l = gamma_{l,1}
-    facts = {(f.kind, f.n, f.l): f.value for f in known_facts()}
+    # Hermite's constants gamma_n = gamma_{n,1} as the literature states them
+    # (Conway & Sloane, SPLAG ch. 1 section 2); the table's rows and the
+    # search's budget gamma_n**n both come from HERMITE_POWER
+    literature = {
+        2: Radical(Fraction(4, 3), 2),
+        3: Radical(2, 3),
+        4: Radical(2, 2),
+        5: Radical(8, 5),
+        6: Radical(Fraction(64, 3), 6),
+        7: Radical(64, 7),
+        8: Radical(2),
+    }
     assert HERMITE_POWER[1] == 1
     assert sorted(HERMITE_POWER) == list(range(1, 9))
-    for l in range(2, 9):
-        assert facts[(RANKIN, l, 1)] ** l == Radical(HERMITE_POWER[l])
+    for n, gamma in literature.items():
+        assert KNOWN_FACTS[RANKIN, n, 1].value == gamma
+        assert Radical(HERMITE_POWER[n]) == gamma ** n
 
 
 def _floor_cases(rng, count):

@@ -1,5 +1,6 @@
 import inspect
 import json
+from types import MappingProxyType
 
 import pytest
 
@@ -74,8 +75,7 @@ def test_failures_recorded_not_raised():
 
 def test_checks_return_claim_lists():
     # eager functions: a timer around the call must see the check's work
-    known = {(f.kind, f.n, f.l): f for f in verify.known_facts()}
-    ctx = verify._Context(10_000_000, verify._family_corpus(), verify._random_codes(5), known)
+    ctx = verify._Context(10_000_000, verify._family_corpus(), verify._random_codes(5))
     for check_id, fn in verify.CHECKS:
         assert not inspect.isgeneratorfunction(fn), check_id
         claims = fn(ctx)
@@ -104,6 +104,14 @@ def test_bound_interval_seeds_honour_the_cap():
     assert result.status == "pass"
 
 
+def test_verify_searches_honour_the_cap():
+    # a check's searches go through the context's memo, which keeps the cap
+    [result] = [r for r in run_checks("parity_check_family", cap=30) if r.status != "skipped"]
+    assert result.status == "fail"
+    assert result.detail.startswith("EnumerationCap"), result.detail
+    assert "cap 30" in result.detail
+
+
 # Each known constant that a check recomputes, and that check.  `bounds`
 # seeds from the same table, so a wrong entry must fail the check.
 RECOMPUTED_FACTS = [
@@ -113,19 +121,25 @@ RECOMPUTED_FACTS = [
     (RANKIN, 4, 2, "rm_last_order"),
     (RANKIN, 8, 1, "cardinality_bound_tightness"),
     (RANKIN, 8, 2, "rm_first_order"),
+    (RANKIN, 8, 3, "rm_first_order"),
+    (RANKIN, 8, 4, "rm_first_order"),
     (BERGE_MARTINET, 3, 1, "dual_parity_check"),
     (BERGE_MARTINET, 4, 1, "dual_parity_check"),
     (BERGE_MARTINET, 5, 1, "dual_parity_check"),
     (BERGE_MARTINET, 4, 2, "dual_parity_check"),
+    (BERGE_MARTINET, 8, 1, "rm_first_order"),
+    (BERGE_MARTINET, 8, 2, "rm_first_order"),
+    (BERGE_MARTINET, 8, 3, "rm_first_order"),
+    (BERGE_MARTINET, 8, 4, "rm_first_order"),
 ]
 
 
 @pytest.mark.parametrize("kind, n, l, check_id", RECOMPUTED_FACTS)
 def test_a_doubled_known_constant_fails_its_check(monkeypatch, kind, n, l, check_id):
-    table = verify.known_facts()
-    doubled = [f._replace(value=2 * f.value) if f[:3] == (kind, n, l) else f for f in table]
-    assert doubled != table
-    monkeypatch.setattr(verify, "known_facts", lambda: doubled)
+    doubled = dict(verify.KNOWN_FACTS)
+    fact = doubled[kind, n, l]
+    doubled[kind, n, l] = fact._replace(value=2 * fact.value)
+    monkeypatch.setattr(verify, "KNOWN_FACTS", MappingProxyType(doubled))
     [result] = [r for r in run_checks(check_id, random_codes=0) if r.status != "skipped"]
     assert result.check_id == check_id
     assert result.status == "fail", result
