@@ -15,13 +15,10 @@ cannot be written), 3 infeasible search (enumeration cap exceeded).
 from __future__ import annotations
 
 import argparse
-import csv as _csv
 import functools
-import hashlib
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
 from .codes import (
@@ -44,10 +41,6 @@ from .invariants import (
 )
 from .lattices import IntegralLattice, canonical_json, lattice_document
 from .sublattice_search import MAX_RANK, SEARCH_VERSION, SearchCertificate, minimal_sublattice
-
-# Imported here, not on first use: perfbench reads `codelattice.verify.CHECKS`
-# as an attribute of the package after importing cli.
-from .verify import render_report, run_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURES = 1
@@ -147,6 +140,8 @@ def _cache_dir(args) -> str:
 def _cache_key(lattice: IntegralLattice, l: int) -> str:
     """Hash of the basis, the rank and the search version: an entry written
     by an older search is a miss, not a certificate with other fields."""
+    import hashlib
+
     blob = json.dumps([list(r) for r in lattice.basis] + [l, SEARCH_VERSION], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -178,6 +173,8 @@ def _cache_load(cache_dir, lattice, l) -> SearchCertificate | None:
 def _cache_store(cache_dir, lattice, cert: SearchCertificate) -> None:
     """Publish the entry atomically; a shard or an entry path that cannot be
     written (a file or a directory in the way) exits 2, naming the entry."""
+    import tempfile
+
     key = _cache_key(lattice, cert.l)
     path = _cache_path(cache_dir, key)
     doc = {**_certificate_doc(cert), "key": key, "tool_version": __version__}
@@ -222,8 +219,10 @@ def _emit(args, doc: dict) -> None:
     if args.format == "json":
         sys.stdout.write(canonical_json(doc))
     elif args.format == "csv":
+        import csv
+
         flat = _flatten(doc)
-        w = _csv.DictWriter(sys.stdout, fieldnames=sorted(flat))
+        w = csv.DictWriter(sys.stdout, fieldnames=sorted(flat))
         w.writeheader()
         w.writerow(flat)
     else:
@@ -325,7 +324,8 @@ def _cmd_gamma_prime(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    seeds = standard_seeds(args.n_max, args.max_candidates)
+    search = functools.partial(minimal_sublattice, cap=args.max_candidates)
+    seeds = standard_seeds(args.n_max, search)
     result = propagate_bounds(args.n_max, seeds, rules=args.rules)
     rows = []
     for (kind, n, l), cell in sorted(result.cells.items()):
@@ -373,6 +373,8 @@ def _cmd_rm_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import render_report, run_checks
+
     results = run_checks(args.filter, random_codes=args.random_codes, cap=args.max_candidates)
     sys.stdout.write(render_report(results, args.format))
     failures = sum(1 for r in results if r.status == "fail")

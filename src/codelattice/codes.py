@@ -10,7 +10,8 @@ closure of the generators.
 from __future__ import annotations
 
 from math import comb, isqrt
-from operator import index
+from operator import attrgetter, index
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap
@@ -47,10 +48,15 @@ class LinearCode:
     Immutable; the Construction A lattice, the dual code and the weight
     report are computed once on demand and cached.  family and params are
     None unless one of the FAMILIES constructors built the code, which sets
-    them to its name and its parameters by name (`_labelled`).
+    them to its name and a read-only mapping of its parameters by name
+    (`_labelled`).  Both are read-only, so the label cannot come to
+    contradict the generators.
     """
 
-    __slots__ = ("q", "n", "generators", "family", "params", "_lattice", "_dual", "_weights")
+    __slots__ = ("q", "n", "generators", "_family", "_params", "_lattice", "_dual", "_weights")
+
+    family = property(attrgetter("_family"))
+    params = property(attrgetter("_params"))
 
     def __init__(self, q: int, n: int, generators):
         q = index(q)
@@ -69,8 +75,8 @@ class LinearCode:
         self.q = q
         self.n = n
         self.generators = tuple(rows)
-        self.family = None
-        self.params = None
+        self._family = None
+        self._params = None
         self._lattice = None
         self._dual = None
         self._weights = None
@@ -199,8 +205,8 @@ def rank2_code_bound(code: LinearCode) -> int:
 
 def _labelled(code: LinearCode, family: str, **params) -> LinearCode:
     """code, labelled as the one the `family` constructor built from params."""
-    code.family = family
-    code.params = {name: index(value) for name, value in params.items()}
+    code._family = family
+    code._params = MappingProxyType({name: index(value) for name, value in params.items()})
     return code
 
 

@@ -15,7 +15,7 @@ from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 from .codes import LinearCode, dual_code, is_self_dual, parity_check_code
-from .enumeration import DEFAULT_CAP, HERMITE_POWER
+from .enumeration import HERMITE_POWER
 from .exact import Radical, positional
 from .lattices import IntegralLattice, gamma_ratio
 from .sublattice_search import SearchCertificate, minimal_sublattice
@@ -167,20 +167,18 @@ def known_fact_seeds(n_max: int) -> list[BoundInterval]:
     return seeds
 
 
-def standard_seeds(n_max: int, cap: int = DEFAULT_CAP) -> list[BoundInterval]:
+def standard_seeds(n_max: int, search=None) -> list[BoundInterval]:
     """Known facts plus this library's own lattice lower bounds.
 
     The single parity check code at q = 2 supplies, for every n from 3 to
     n_max, a rank-2 sublattice of determinant 3 (lower bound 3/4**(2/n) on
     the Rankin constant) and, combined with its dual, the lower bound
-    (1/2) * sqrt(3 * min(4, n-1)) on the Berge-Martinet constant.  `cap`
-    caps every sublattice search made for these seeds.
+    (1/2) * sqrt(3 * min(4, n-1)) on the Berge-Martinet constant.
+    search(lattice, l) returns the SearchCertificate of one lattice, as in
+    `berge_martinet_invariant`; it defaults to `minimal_sublattice`.
     """
-
-    @functools.cache  # berge_martinet_invariant searches code.lattice() again
-    def search(lat, rank):
-        return minimal_sublattice(lat, rank, cap=cap)
-
+    # memoised: berge_martinet_invariant searches code.lattice() again
+    search = functools.cache(minimal_sublattice if search is None else search)
     seeds = known_fact_seeds(n_max)
     for n in range(3, n_max + 1):
         code = parity_check_code(n, 2)

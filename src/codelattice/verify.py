@@ -465,7 +465,7 @@ def _check_dual_parity_check(ctx):
 
 def _check_bound_intervals(ctx):
     """Interval table for the open cells, with rule provenance and decimals."""
-    res = propagate_bounds(7, standard_seeds(7, ctx.cap))
+    res = propagate_bounds(7, standard_seeds(7, ctx.search))
     targets = [
         (RANKIN, 5, 2, Radical(Fraction(243, 16), 5), Radical(2), "rule (7)", (4, 1)),
         (RANKIN, 7, 2, Radical(Fraction(2187, 16), 7), Radical(32, 3), "rule (7)", (5, 5)),

@@ -42,6 +42,13 @@ MUTANTS = (
         "test_lattices",
     ),
     (
+        "LinearCode: family label writable",
+        "codes.py",
+        'family = property(attrgetter("_family"))',
+        'family = property(attrgetter("_family"), lambda self, v: setattr(self, "_family", v))',
+        "test_codes",
+    ),
+    (
         "SearchCertificate: determinant comparison skipped",
         "sublattice_search.py",
         "if witness.det_l != value:",

@@ -39,11 +39,16 @@ def test_one_pass_of_each_workload(name, tmp_path):
     assert result.failures == []
 
 
-def test_cli_import_loads_verify():
-    # the harness reads `codelattice.verify.CHECKS` after importing the
-    # workloads, which import only `codelattice.cli`
+def test_cli_import_leaves_verify_to_the_harness():
+    # the workloads import only `codelattice.cli`, which loads neither
+    # verify nor csv; the harness then reads `codelattice.verify.CHECKS`
+    # as an attribute of the package, which imports verify
     src = str(Path(codelattice.__file__).resolve().parents[1])
-    probe = "import sys, codelattice.cli; print('codelattice.verify' in sys.modules)"
+    probe = (
+        "import sys, codelattice, codelattice.cli\n"
+        "print(sorted({'codelattice.verify', 'csv'} & set(sys.modules)))\n"
+        "print(len(codelattice.verify.CHECKS) > 0, 'codelattice.verify' in sys.modules)\n"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
@@ -52,4 +57,4 @@ def test_cli_import_loads_verify():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "True"
+    assert done.stdout.splitlines() == ["[]", "True True"]

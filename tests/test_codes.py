@@ -299,6 +299,31 @@ def test_only_a_family_constructor_labels_a_code():
     assert code_from_document(code_document(full_code(True, 2))) == full_code(1, 2)
 
 
+def test_a_family_label_is_read_only():
+    # a label assigned after construction could contradict the generators,
+    # as a label passed to LinearCode could
+    code = LinearCode(2, 4, [[1, 1, 1, 1]])
+    with pytest.raises(AttributeError):
+        code.family = "parity_check"
+    with pytest.raises(AttributeError):
+        code.params = {"n": 4, "q": 2}
+    with pytest.raises(TypeError):
+        parity_check_code(4, 2).params["n"] = 9
+    # the documents of the family codes keep their keys and their order
+    params = {"n": 4, "q": 3, "r": 1, "m": 3}
+    documents = {
+        family: list(code_document(make(*[params[name] for name in names])).items())
+        for family, (make, names) in FAMILIES.items()
+    }
+    assert documents == {
+        "parity_check": [("q", 3), ("n", 4), ("family", "parity_check")],
+        "reed_muller": [("q", 2), ("n", 8), ("family", "reed_muller"), ("r", 1), ("m", 3)],
+        "extended_hamming": [("q", 2), ("n", 8), ("family", "extended_hamming")],
+        "full": [("q", 3), ("n", 4), ("family", "full")],
+        "zero": [("q", 3), ("n", 4), ("family", "zero")],
+    }
+
+
 def test_generators_reduced_and_zero_rows_dropped():
     code = LinearCode(3, 3, [[3, 4, -1], [0, 0, 0], [6, 3, 3]])
     assert code.generators == ((0, 1, 2),)

@@ -6,6 +6,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import codelattice
 
 PACKAGE = Path(codelattice.__file__).parent
@@ -40,6 +42,12 @@ def test_package_exports_exactly_the_layers():
     assert codelattice.__all__ == declared + ["__version__"]
     for name in codelattice.__all__:
         assert hasattr(codelattice, name), name
+
+
+def test_package_has_no_other_lazy_attribute():
+    # the module __getattr__ imports cli and verify, and nothing else
+    with pytest.raises(AttributeError, match="no_such_name"):
+        codelattice.no_such_name
 
 
 def test_package_lists_no_public_name():

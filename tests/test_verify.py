@@ -6,6 +6,7 @@ import pytest
 
 import codelattice.verify as verify
 from codelattice.invariants import BERGE_MARTINET, RANKIN
+from codelattice.sublattice_search import minimal_sublattice
 from codelattice.verify import OPEN_CONSTANTS_NOTE, render_report, run_checks
 
 
@@ -110,6 +111,23 @@ def test_verify_searches_honour_the_cap():
     assert result.status == "fail"
     assert result.detail.startswith("EnumerationCap"), result.detail
     assert "cap 30" in result.detail
+
+
+def test_each_search_is_made_once(monkeypatch):
+    # every search of a run goes through the context's memo, the bound
+    # interval seeds' too: no (lattice, rank) is searched twice
+    import codelattice.invariants as invariants
+
+    searched = []
+
+    def counted(lattice, l, **kwargs):
+        searched.append((lattice.basis, l))
+        return minimal_sublattice(lattice, l, **kwargs)
+
+    monkeypatch.setattr(verify, "minimal_sublattice", counted)
+    monkeypatch.setattr(invariants, "minimal_sublattice", counted)
+    assert not [r for r in run_checks(random_codes=40) if r.status == "fail"]
+    assert len(searched) == 99 == len(set(searched))
 
 
 # Each known constant that a check recomputes, and that check.  `bounds`
