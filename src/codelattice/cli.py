@@ -8,8 +8,9 @@ cached on disk keyed by the canonical HNF basis and rank.
 
 Exit codes: 0 success, 1 verify failures, 2 unusable input (parse error, a
 spec document `codes.read_spec` rejects, an out-of-range argument, a
-cache location that cannot be a directory, or a cache shard or entry that
-cannot be written), 3 infeasible search (enumeration cap exceeded).
+verify --filter that selects no check, a cache location that cannot be a
+directory, or a cache shard or entry that cannot be written), 3 infeasible
+search (enumeration cap exceeded).
 """
 
 from __future__ import annotations
@@ -373,11 +374,28 @@ def _cmd_rm_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import render_report, run_checks
+    from .verify import OPEN_CONSTANTS_NOTE, run_checks
 
     results = run_checks(args.filter, random_codes=args.random_codes, cap=args.max_candidates)
-    sys.stdout.write(render_report(results, args.format))
+    if args.filter and all(r.status == "skipped" for r in results):
+        raise CliError(f"--filter {args.filter!r} matches no check", EXIT_BAD_INPUT)
     failures = sum(1 for r in results if r.status == "fail")
+    records = [r._asdict() for r in results]
+    # every format carries the open-constants note
+    if args.format == "json":
+        _emit(args, {"note": OPEN_CONSTANTS_NOTE, "checks": records})
+    elif args.format == "csv":
+        _write_table(("check_id", "status", "runtime_ms"), records)
+        print(f"# {OPEN_CONSTANTS_NOTE}")
+    else:
+        print(OPEN_CONSTANTS_NOTE)
+        for r in results:
+            print(f"{r.status.upper():7} {r.check_id} [{r.runtime_ms} ms]")
+            if r.status == "fail":
+                print(f"        expected: {r.expected}\n        computed: {r.computed}")
+                if r.detail:
+                    print(f"        detail: {r.detail}")
+        print(f"{len(results)} checks, {failures} failures")
     return EXIT_CHECK_FAILURES if failures else EXIT_OK
 
 

@@ -56,7 +56,6 @@ from .invariants import (
 from .lattices import (
     IntegralLattice,
     Sublattice,
-    canonical_json,
     construction_a,
     det_int,
     dual_basis,
@@ -67,7 +66,7 @@ from .lattices import (
 from .enumeration import DEFAULT_CAP, CertificateError, EnumerationCap, lattice_minimum
 from .sublattice_search import minimal_sublattice
 
-__all__ = ["CheckResult", "run_checks", "render_report", "OPEN_CONSTANTS_NOTE"]
+__all__ = ["CheckResult", "run_checks", "OPEN_CONSTANTS_NOTE"]
 
 OPEN_CONSTANTS_NOTE = (
     "note: the suite certifies per-lattice values and implication-derived "
@@ -95,17 +94,16 @@ SEED = 20240
 class _Context:
     """What every check reads; built once per `run_checks` call, so the
     lattices and duals the corpus codes cache are shared by the checks.
-    search(lattice, l) is `minimal_sublattice` under the cap and
-    minimum(lattice) is `lattice_minimum`, each memoised: a lattice hashes
-    and compares by its basis, so equal lattices that two checks build
-    share one answer, and no check can search without the cap."""
+    search(lattice, l) is `minimal_sublattice` under the cap, memoised: a
+    lattice hashes and compares by its basis, so equal lattices that two
+    checks build share one answer, and no check can search without the
+    cap."""
 
-    __slots__ = ("cap", "family", "random", "search", "minimum")
+    __slots__ = ("cap", "family", "random", "search")
 
     def __init__(self, cap: int, family: list[LinearCode], random: list[LinearCode]):
         self.cap, self.family, self.random = cap, family, random
         self.search = functools.cache(lambda lattice, l: minimal_sublattice(lattice, l, cap=cap))
-        self.minimum = functools.cache(lattice_minimum)
 
 
 def _random_codes(count: int) -> list[LinearCode]:
@@ -165,7 +163,7 @@ def _check_d1_formula(ctx):
         expect = code.q ** 2
         if code.generators:
             expect = min(expect, weight_report(code, ctx.cap).d_euclidean)
-        got, _ = ctx.minimum(code.lattice())
+        got, _ = lattice_minimum(code.lattice())
         if got != expect:
             mismatches.append((code.q, code.n, expect, got))
     return [_tally("mismatches", mismatches, len(codes))]
@@ -436,7 +434,7 @@ def _check_dual_parity_check(ctx):
     # d1 of the dual-code lattice and the rank-1 dual invariant
     for q in DUAL_Q:
         for n in PARITY_N:
-            got, _ = ctx.minimum(dual_code(code(n, q)).lattice())
+            got, _ = lattice_minimum(dual_code(code(n, q)).lattice())
             claims.append((f"d1*(n={n},q={q})={min(n, q * q)}", f"d1*(n={n},q={q})={got}"))
             expect1 = Radical(Fraction(2 * min(n, q * q), q * q), 2)
             claims.append((f"g'1={expect1}", f"g'1={gamma_prime(n, q, 1)}"))
@@ -596,30 +594,3 @@ def run_checks(
         ms = int((time.perf_counter() - t0) * 1000)
         results.append(CheckResult(check_id, status, expected, computed, ms, detail))
     return results
-
-
-def render_report(results: list[CheckResult], fmt: str = "text") -> str:
-    """Machine-readable report; one record per check plus the open-constants
-    note required on every run."""
-    if fmt == "json":
-        doc = {
-            "note": OPEN_CONSTANTS_NOTE,
-            "checks": [r._asdict() for r in results],
-        }
-        return canonical_json(doc)
-    if fmt == "csv":
-        lines = ["check_id,status,runtime_ms"]
-        lines += [f"{r.check_id},{r.status},{r.runtime_ms}" for r in results]
-        lines.append(f"# {OPEN_CONSTANTS_NOTE}")
-        return "\n".join(lines) + "\n"
-    lines = [OPEN_CONSTANTS_NOTE]
-    for r in results:
-        line = f"{r.status.upper():7} {r.check_id} [{r.runtime_ms} ms]"
-        if r.status == "fail":
-            line += f"\n        expected: {r.expected}\n        computed: {r.computed}"
-            if r.detail:
-                line += f"\n        detail: {r.detail}"
-        lines.append(line)
-    n_fail = sum(1 for r in results if r.status == "fail")
-    lines.append(f"{len(results)} checks, {n_fail} failures")
-    return "\n".join(lines) + "\n"

@@ -305,6 +305,21 @@ MUTANTS = (
         "minimal_sublattice(lattice, l)",
         "test_verify",
     ),
+    # -- the verify report ----------------------------------------------------
+    (
+        "verify text report drops the detail line",
+        "cli.py",
+        'print(f"        detail: {r.detail}")',
+        "pass",
+        "test_cli",
+    ),
+    (
+        "verify filter matching no check passes",
+        "cli.py",
+        'if args.filter and all(r.status == "skipped" for r in results):',
+        "if False:",
+        "test_cli",
+    ),
     # -- the decimal rendering ------------------------------------------------
     (
         "to_decimal rounding carry dropped",

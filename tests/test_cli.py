@@ -315,6 +315,16 @@ def test_verify_failure_exit(cache, capsys, monkeypatch):
         verify.CHECKS = original
 
 
+def test_verify_filter_that_matches_no_check_exits_2(cache, capsys):
+    # a misspelt filter must not pass with every check skipped
+    code, out, err = _run(capsys, ["verify", "--filter", "e8gram"])
+    assert (code, out) == (2, "")
+    assert err == "error: --filter 'e8gram' matches no check\n"
+    # a pattern that matches is no error
+    code, out, _ = _run(capsys, ["verify", "--filter", "e8_g*"])
+    assert code == 0 and "PASS    e8_gram" in out
+
+
 def test_bounds_deterministic_bytes(cache, capsys):
     argv = ["bounds", "--n-max", "6", "--format", "json"]
     _, first, _ = _run(capsys, argv)
@@ -329,12 +339,17 @@ RENDER_CASES = {
     **{
         f"{command}-{fmt}": [command, *D4, "--l", "2", "--format", fmt]
         for command in ("dl", "gamma", "gamma-prime")
-        for fmt in ("text", "csv")
+        for fmt in ("text", "csv", "json")
     },
-    "build-text": ["build", *D4, "--format", "text"],
-    "build-csv": ["build", *D4, "--format", "csv"],
-    "bounds-text": ["bounds", "--n-max", "3", "--format", "text"],
-    "rm-table-csv": ["rm-table", "--m-max", "2", "--format", "csv"],
+    **{f"build-{fmt}": ["build", *D4, "--format", fmt] for fmt in ("text", "csv", "json")},
+    **{
+        f"bounds-{fmt}": ["bounds", "--n-max", "3", "--format", fmt]
+        for fmt in ("text", "csv", "json")
+    },
+    **{
+        f"rm-table-{fmt}": ["rm-table", "--m-max", "2", "--format", fmt]
+        for fmt in ("text", "csv", "json")
+    },
     **{
         f"verify-{fmt}": ["verify", "--filter", "e8_gram", "--format", fmt]
         for fmt in ("json", "csv", "text")
@@ -360,6 +375,23 @@ def test_rendered_bytes(cache, capsys, name):
     if argv[0] == "verify":
         out = _runtimes_masked(out)
     assert out == expected[name]
+
+
+def _raises(ctx):
+    raise RuntimeError("synthetic failure")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_failing_verify_bytes(cache, capsys, monkeypatch, fmt):
+    # a failing and a raising check: the expected, computed and detail lines
+    import codelattice.verify as verify
+
+    checks = (("always_fails", lambda ctx: [("a", "b"), ("c", "c")]), ("always_raises", _raises))
+    monkeypatch.setattr(verify, "CHECKS", checks)
+    expected = json.loads((Path(__file__).parent / "data" / "renderings.json").read_text())
+    code, out, _ = _run(capsys, ["verify", "--random-codes", "0", "--format", fmt])
+    assert code == 1
+    assert _runtimes_masked(out) == expected[f"verify-failing-{fmt}"]
 
 
 def test_missing_family_parameters(cache, capsys):

@@ -86,6 +86,53 @@ def test_hnf_matches_xgcd_oracle():
     assert 20 < deficient < 280
 
 
+def _unimodular_disguise(rng, rows) -> list[list[int]]:
+    """Other rows with the same integer span: each step adds a multiple of
+    one row to another, swaps two rows, negates a row, or appends an integer
+    combination of the rows."""
+    rows = [list(r) for r in rows]
+    for _ in range(2 * len(rows) + 2):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        step = rng.randrange(4)
+        if step == 0 and i != j:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+        elif step == 1:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif step == 2:
+            rows[i] = [-a for a in rows[i]]
+        else:
+            coeffs = [rng.randint(-2, 2) for _ in rows]
+            rows.append([sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(len(rows[0]))])
+    return rows
+
+
+def test_hnf_does_not_depend_on_the_rows_given():
+    # the basis is a function of the lattice alone: rows and code generators
+    # under unimodular row operations give the oracle's basis of the original
+    rng = random.Random(5)
+    full_rank = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(n, n + 2))]
+        h, rank = oracle_hnf(rows)
+        if rank < n:
+            continue
+        full_rank += 1
+        basis = IntegralLattice.from_rows(rows).basis
+        assert list(map(list, basis)) == h
+        assert IntegralLattice.from_rows(_unimodular_disguise(rng, rows)).basis == basis
+    assert full_rank > 100
+    for _ in range(200):
+        q = rng.choice((2, 3, 4, 5, 6, 8, 9, 12))
+        n = rng.randint(1, 6)
+        gens = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        ambient = [[q if j == i else 0 for j in range(n)] for i in range(n)]
+        basis = LinearCode(q, n, gens).lattice().basis
+        assert list(map(list, basis)) == oracle_hnf([*gens, *ambient])[0]
+        assert LinearCode(q, n, _unimodular_disguise(rng, gens)).lattice().basis == basis
+
+
 def test_rank_deficient():
     with pytest.raises(RankDeficient, match="rank 2"):
         IntegralLattice.from_rows([[1, 2], [2, 4]])

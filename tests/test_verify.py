@@ -7,7 +7,8 @@ import pytest
 import codelattice.verify as verify
 from codelattice.invariants import BERGE_MARTINET, RANKIN
 from codelattice.sublattice_search import minimal_sublattice
-from codelattice.verify import OPEN_CONSTANTS_NOTE, render_report, run_checks
+from codelattice.cli import main
+from codelattice.verify import OPEN_CONSTANTS_NOTE, run_checks
 
 
 def test_suite_passes():
@@ -47,15 +48,18 @@ def test_filter_skips():
     assert by_id["rm_table"].status == "skipped"
 
 
-def test_report_formats():
-    results = run_checks("e8_gram")
-    text = render_report(results, "text")
+def test_report_formats(capsys):
+    def report(fmt):
+        assert main(["verify", "--filter", "e8_gram", "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    text = report("text")
     assert OPEN_CONSTANTS_NOTE in text
     assert "PASS" in text
-    doc = json.loads(render_report(results, "json"))
+    doc = json.loads(report("json"))
     assert doc["note"] == OPEN_CONSTANTS_NOTE
-    assert len(doc["checks"]) == len(results)
-    csv = render_report(results, "csv")
+    assert len(doc["checks"]) == len(verify.CHECKS)
+    csv = report("csv")
     assert csv.splitlines()[0] == "check_id,status,runtime_ms"
 
 
