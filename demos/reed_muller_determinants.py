@@ -7,12 +7,12 @@ make the first-order code at m = 3 (a scaled E8) remarkable.
 """
 
 from codelattice import (
+    Sublattice,
     construction_a,
     gamma_ratio,
     reed_muller_code,
     reed_muller_generators,
     reed_muller_table,
-    sublattice_from_rows,
 )
 
 print(f"{'m':>2} {'r':>2} {'k':>3} {'det of rows':>14} {'det of lattice':>16}")
@@ -26,7 +26,7 @@ rows = reed_muller_generators(1, 3)
 rows[0] = [a + b for a, b in zip(rows[0], rows[1])]  # all-ones first row
 
 for l, picked in ((2, rows[1:3]), (3, rows[:3]), (4, rows[:4])):
-    sub = sublattice_from_rows(lat, picked)
+    sub = Sublattice(lat, picked)
     ratio = gamma_ratio(lat, sub)
     print(f"  rank {l}: det = {sub.det_l:>3}, ratio = {ratio} = {ratio.to_decimal(6)}")
 

@@ -216,26 +216,29 @@ def _searched_input(args) -> tuple[IntegralLattice, SearchCertificate, bool]:
 # -- output -----------------------------------------------------------------
 
 
-def _emit(args, doc: dict) -> None:
+def _emit(args, doc: dict, table=None) -> None:
+    """`doc` as JSON or text.  As CSV, `table` (columns, rows), or with no
+    table the flattened doc as one row."""
     if args.format == "json":
         sys.stdout.write(canonical_json(doc))
     elif args.format == "csv":
-        import csv
-
-        flat = _flatten(doc)
-        w = csv.DictWriter(sys.stdout, fieldnames=sorted(flat))
-        w.writeheader()
-        w.writerow(flat)
+        if table is None:
+            flat = _flatten(doc)
+            table = sorted(flat), [flat]
+        _write_table(*table)
     else:
         for line in _text_lines(doc):
             print(line)
 
 
 def _write_table(columns, rows, sep=",") -> None:
-    """A header line of the column names, then one line per row."""
-    lines = [sep.join(columns)]
-    lines += [sep.join(str(row[c]) for c in columns) for row in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+    """A header line of the column names, then one line per row, each ending
+    in "\n"; a field is quoted only where it needs quoting."""
+    import csv
+
+    w = csv.writer(sys.stdout, delimiter=sep, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows([row[c] for c in columns] for row in rows)
 
 
 def _flatten(doc, prefix="") -> dict:
@@ -341,14 +344,12 @@ def _cmd_bounds(args) -> int:
                 "provenance": cell.provenance,
             }
         )
-    if args.format == "csv":
-        decimals = [
-            dict(r, lower=r["lower"]["decimal"], upper=r["upper"]["decimal"] if r["upper"] else "")
-            for r in rows
-        ]
-        _write_table(("kind", "n", "l", "lower", "upper", "exact"), decimals)
-    else:
-        _emit(args, {"n_max": args.n_max, "rules": args.rules, "cells": rows})
+    # the CSV table holds the decimals; no upper bound is an empty field
+    decimals = [
+        dict(r, lower=r["lower"]["decimal"], upper=r["upper"] and r["upper"]["decimal"]) for r in rows
+    ]
+    table = ("kind", "n", "l", "lower", "upper", "exact"), decimals
+    _emit(args, {"n_max": args.n_max, "rules": args.rules, "cells": rows}, table)
     return EXIT_OK
 
 
@@ -364,12 +365,11 @@ def _cmd_rm_table(args) -> int:
         }
         for m, r, k, det_rows, det_lattice in reed_muller_table(args.m_max)
     ]
-    if args.format == "json":
-        _emit(args, {"rows": rows})
-    elif args.format == "csv":
-        _write_table(("m", "r", "k", "det_rows", "det_lattice", "det_lattice_formula"), rows)
+    columns = ("m", "r", "k", "det_rows", "det_lattice", "det_lattice_formula")
+    if args.format == "text":  # a space-separated table without the formula
+        _write_table(columns[:-1], rows, sep=" ")
     else:
-        _write_table(("m", "r", "k", "det_rows", "det_lattice"), rows, sep=" ")
+        _emit(args, {"rows": rows}, (columns, rows))
     return EXIT_OK
 
 
@@ -382,12 +382,7 @@ def _cmd_verify(args) -> int:
     failures = sum(1 for r in results if r.status == "fail")
     records = [r._asdict() for r in results]
     # every format carries the open-constants note
-    if args.format == "json":
-        _emit(args, {"note": OPEN_CONSTANTS_NOTE, "checks": records})
-    elif args.format == "csv":
-        _write_table(("check_id", "status", "runtime_ms"), records)
-        print(f"# {OPEN_CONSTANTS_NOTE}")
-    else:
+    if args.format == "text":
         print(OPEN_CONSTANTS_NOTE)
         for r in results:
             print(f"{r.status.upper():7} {r.check_id} [{r.runtime_ms} ms]")
@@ -396,6 +391,11 @@ def _cmd_verify(args) -> int:
                 if r.detail:
                     print(f"        detail: {r.detail}")
         print(f"{len(results)} checks, {failures} failures")
+    else:
+        doc = {"note": OPEN_CONSTANTS_NOTE, "checks": records}
+        _emit(args, doc, (("check_id", "status", "runtime_ms"), records))
+        if args.format == "csv":
+            print(f"# {OPEN_CONSTANTS_NOTE}")
     return EXIT_CHECK_FAILURES if failures else EXIT_OK
 
 

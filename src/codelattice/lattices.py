@@ -352,7 +352,7 @@ class Sublattice:
         return f"Sublattice(l={self.l}, det_l={self.det_l})"
 
 
-# the constructor under the name the demos, the tests and perfbench call
+# the constructor under its older name, which only perfbench still calls
 sublattice_from_rows = Sublattice
 
 

@@ -27,6 +27,8 @@ complement
 u being the new vector's dot products with the prefix, and the adjugate
 exactly by adj' = [[(det_{k+1} adj + w w^T) / det_k, -w], [-w^T, det_k]]
 with w = adj u (det_k > 0, as rank-deficient prefixes are skipped).  Each
+level's determinants are one batch (`_leaf_dets`), and the walk descends
+only where the batch is above 0 (`_adjugate` updates the adjugate).  Each
 loop stops at the index found by bisecting the ascending norms against the
 budget, and the dot products of the prefix vectors are computed on demand,
 only up to that index.  A walk has the fixed budget gamma_l**l * bound; a
@@ -167,24 +169,23 @@ def _radius(upper: int, lam: int, l: int) -> int:
     return (g.numerator * upper) // (g.denominator * lam ** (l - 1))
 
 
-def _extend(det, adj, u, n):
-    """(det', adj') of a prefix (det, flat adjugate) extended by one vector.
+def _adjugate(det, adj, u, n, d):
+    """adj' of a prefix (det, flat adjugate) extended by one vector.
 
-    u holds the new vector's dot products with the prefix and n its norm.
-    Adjugates are stored flat, upper triangle column by column:
+    u holds the new vector's dot products with the prefix, n its norm and
+    d > 0 the extended determinant (`_leaf_dets`).  Adjugates are stored
+    flat, upper triangle column by column:
     (a00,), (a00, a01, a11), (a00, a01, a11, a02, a12, a22).
     """
     if not u:
-        return n, (1,)
+        return (1,)
     if len(u) == 1:
-        x = u[0]
-        return det * n - x * x, (n, -x, det)
+        return (n, -u[0], det)
     a00, a01, a11 = adj
     x, y = u
     w0 = a00 * x + a01 * y
     w1 = a01 * x + a11 * y
-    d = det * n - x * w0 - y * w1
-    return d, (
+    return (
         (d * a00 + w0 * w0) // det,
         (d * a01 + w0 * w1) // det,
         (d * a11 + w1 * w1) // det,
@@ -195,7 +196,7 @@ def _extend(det, adj, u, n):
 
 
 def _leaf_dets(det, adj, norms, cols):
-    """Determinants of the prefix extended by each vector of a leaf batch.
+    """Determinants of the prefix extended by each vector of a batch.
 
     cols[j][t] is the dot product of prefix vector j with batch vector t.
     """
@@ -283,8 +284,8 @@ class _Scan:
         if stop <= start:
             return False
         cols = [self._row(i, stop)[start - i - 1 : stop - i - 1] for i in prefix]
+        dets = _leaf_dets(det, adj, norms[start:stop], cols)
         if need == 1:
-            dets = _leaf_dets(det, adj, norms[start:stop], cols)
             zeros = dets.count(0)  # Gram determinants are >= 0; 0 is rank-deficient
             self.leaves += len(dets) - zeros
             low = min(filter(None, dets), default=None) if zeros else min(dets)
@@ -297,12 +298,13 @@ class _Scan:
                 hit = start + dets.index(low)
                 self.key = tuple(self.rows[i] for i in prefix + (hit,))
             return self.first
-        for t in range(stop - start):
-            k = start + t
-            nk = norms[k]
-            d, a = _extend(det, adj, [c[t] for c in cols], nk)
-            if d > 0 and self._walk(k + 1, prod * nk, prefix + (k,), d, a):
-                return True
+        for t, d in enumerate(dets):
+            if d > 0:  # 0 is rank-deficient: no tuple through it is a leaf
+                k = start + t
+                nk = norms[k]
+                a = _adjugate(det, adj, [c[t] for c in cols], nk, d)
+                if self._walk(k + 1, prod * nk, prefix + (k,), d, a):
+                    return True
         return False
 
 

@@ -320,6 +320,21 @@ MUTANTS = (
         "if False:",
         "test_cli",
     ),
+    # -- the CSV writer -------------------------------------------------------
+    (
+        "CSV lines end in CRLF",
+        "cli.py",
+        'lineterminator="\\n"',
+        'lineterminator="\\r\\n"',
+        "test_cli",
+    ),
+    (
+        "_emit's CSV branch ignores the table",
+        "cli.py",
+        "if table is None:",
+        "if True:",
+        "test_cli",
+    ),
     # -- the decimal rendering ------------------------------------------------
     (
         "to_decimal rounding carry dropped",

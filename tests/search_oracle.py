@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from codelattice.enumeration import lattice_minimum, short_vectors
-from codelattice.lattices import det_int, gram_matrix, sublattice_from_rows
+from codelattice.lattices import Sublattice, det_int, gram_matrix
 
 # (4/3)**(l*(l-1)/2): the norm-product budget of a Minkowski-reduced basis,
 # valid for l <= 4 and at least gamma_l**l
@@ -163,5 +163,5 @@ def oracle_minimal_sublattice(lattice, l, h, upper_hint=None, cap=10_000_000):
 
     narrow = _Pool([v for v in wide if v.norm <= bv])
     state = _scan(narrow, l, h, value, fixed=True)
-    witness = sublattice_from_rows(lattice, state["key"])
+    witness = Sublattice(lattice, state["key"])
     return OracleCertificate(value, witness, bv, state["leaves"], confirmed)

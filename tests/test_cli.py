@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import codelattice
-from codelattice.cli import main
+from codelattice.cli import _flatten, main
 
 
 @pytest.fixture()
@@ -375,6 +377,43 @@ def test_rendered_bytes(cache, capsys, name):
     if argv[0] == "verify":
         out = _runtimes_masked(out)
     assert out == expected[name]
+
+
+CSV_CASES = {name: argv for name, argv in RENDER_CASES.items() if name.endswith("-csv")}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_csv_parses_back_under_any_line_end(cache, monkeypatch, name, newline):
+    # stdout is a text stream that writes each "\n" as `newline`: the CSV
+    # stays one header line and rows of its width, with no doubled "\r"
+    raw = io.BytesIO()
+    out = io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stdout", out)
+        code = main(CSV_CASES[name])
+        out.flush()
+    assert code == 0
+    assert b"\r\r\n" not in raw.getvalue()
+    rows = list(csv.reader(io.StringIO(raw.getvalue().decode(), newline="")))
+    if name.startswith("verify"):
+        assert rows.pop()[0].startswith("# note: ")
+    header, *body = rows
+    assert body and all(len(row) == len(header) for row in body)
+
+
+def test_dl_csv_is_the_flattened_json(tmp_path, capsys):
+    # both cold: the CSV row holds the JSON document's fields, lists as JSON
+    outs = {}
+    for fmt in ("json", "csv"):
+        argv = ["dl", *D4, "--l", "2", "--format", fmt, "--cache", str(tmp_path / fmt)]
+        code, outs[fmt], _ = _run(capsys, argv)
+        assert code == 0
+    doc = json.loads(outs["json"])
+    header, row = csv.reader(io.StringIO(outs["csv"]))
+    fields = dict(zip(header, row))
+    assert fields == {key: str(value) for key, value in _flatten(doc).items()}
+    assert json.loads(fields["witness_rows"]) == doc["witness_rows"]
 
 
 def _raises(ctx):

@@ -117,6 +117,40 @@ def test_total_order_on_random_triples():
             assert a * c < b * c or c == Radical(0)
 
 
+def _powered(rng):
+    """(a, r): a rational a, often a perfect power, and a root r <= 12, so
+    that Radical(a, r) often reduces its root."""
+    base = Fraction(rng.randint(0, 40), rng.randint(1, 40))
+    k = rng.randint(1, 4)
+    return base**k, k * rng.randint(1, 12 // k)
+
+
+def test_order_agrees_with_cross_powering():
+    # a^(1/r) against b^(1/s) compares as a^s against b^r, for the roots as
+    # given and not only for canonical ones: Radical(8, 6) is 2^(1/2)
+    rng = random.Random(17)
+    pairs = [
+        ((8, 6), (2, 2)),
+        ((8, 6), (4, 4)),
+        ((64, 12), (3, 2)),
+        ((Fraction(27, 8), 3), (Fraction(3, 2), 1)),
+        ((0, 9), (1, 12)),
+    ]
+    pairs += [(_powered(rng), _powered(rng)) for _ in range(400)]
+    # equal values under different roots: c^(k1 / (k1 m)) and c^(k2 / (k2 m))
+    for _ in range(100):
+        c = Fraction(rng.randint(0, 40), rng.randint(1, 40))
+        m = rng.randint(1, 4)
+        k1, k2 = rng.randint(1, 12 // m), rng.randint(1, 12 // m)
+        pairs.append(((c**k1, k1 * m), (c**k2, k2 * m)))
+    for (a, r), (b, s) in pairs:
+        x, y = Radical(a, r), Radical(b, s)
+        lhs, rhs = Fraction(a) ** s, Fraction(b) ** r
+        assert (x < y, x == y, x > y) == (lhs < rhs, lhs == rhs, lhs > rhs), (a, r, b, s)
+        if x == y:
+            assert hash(x) == hash(y), (a, r, b, s)
+
+
 def test_pow_composition():
     rng = random.Random(11)
     for _ in range(200):

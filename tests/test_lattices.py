@@ -155,8 +155,8 @@ def test_rank_deficient():
         pytest.param(lambda: hnf([["1", 0], [0, 2]], 2), id="hnf-str"),
         pytest.param(lambda: IntegralLattice([[1.7, 0], [0, 2.2]]), id="IntegralLattice-float"),
         pytest.param(
-            lambda: sublattice_from_rows(IntegralLattice([[1, 0], [0, 1]]), [[1.2, 1.9]]),
-            id="sublattice_from_rows-float",
+            lambda: Sublattice(IntegralLattice([[1, 0], [0, 1]]), [[1.2, 1.9]]),
+            id="Sublattice-float",
         ),
         pytest.param(lambda: hnf([[Fraction(2), 0], [0, 1]], 2), id="hnf-Fraction"),
     ],
@@ -217,26 +217,26 @@ def test_sublattice_examples():
             [1, 1] + [0] * (n - 2),
             [1] + [0] * (n - 2) + [1],
         ]
-        sub = sublattice_from_rows(lat, rows)
+        sub = Sublattice(lat, rows)
         assert sub.det_l == 3
-        one = sublattice_from_rows(lat, [rows[0]])
+        one = Sublattice(lat, [rows[0]])
         assert one.det_l == 2
     lat8 = construction_a(reed_muller_code(1, 3))
     rows = [[0, 1, 0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 0, 0, 1, 1]]
-    sub = sublattice_from_rows(lat8, rows)
+    sub = Sublattice(lat8, rows)
     assert sub.det_l == 12
 
 
 def test_sublattice_errors():
     lat = construction_a(parity_check_code(3, 2))
     with pytest.raises(NotInLattice):
-        sublattice_from_rows(lat, [[1, 0, 0]])
+        Sublattice(lat, [[1, 0, 0]])
     with pytest.raises(RankDeficient):
-        sublattice_from_rows(lat, [[1, 1, 0], [2, 2, 0]])
+        Sublattice(lat, [[1, 1, 0], [2, 2, 0]])
     # the one constructor checks: (1,0,0,0) is not in D4, so no Gram data
     # passed beside the rows can make it a sublattice of determinant 1
     d4 = construction_a(parity_check_code(4, 2))
-    assert sublattice_from_rows is Sublattice
+    assert sublattice_from_rows is Sublattice  # the alias the benchmark harness calls
     with pytest.raises(NotInLattice):
         Sublattice(d4, [[1, 0, 0, 0]])
     with pytest.raises(TypeError):
@@ -248,16 +248,16 @@ def test_gamma_ratio_examples():
 
     lat8 = construction_a(reed_muller_code(1, 3))
     rows = reed_muller_generators(1, 3)
-    sub4 = sublattice_from_rows(lat8, rows)
+    sub4 = Sublattice(lat8, rows)
     assert gamma_ratio(lat8, sub4) == Radical(4)
 
     lat16 = construction_a(reed_muller_code(1, 4))
     rows2z = [[2] + [0] * 15, [0, 2] + [0] * 14]
-    sub = sublattice_from_rows(lat16, rows2z)
+    sub = Sublattice(lat16, rows2z)
     # 16 / (2^22)^(1/8) = 2^(5/4) by the defining determinant quotient
     assert gamma_ratio(lat16, sub) == Radical(2) ** Fraction(5, 4)
 
-    whole = sublattice_from_rows(lat8, lat8.basis)
+    whole = Sublattice(lat8, lat8.basis)
     assert gamma_ratio(lat8, whole) == Radical(1)
 
 
@@ -269,8 +269,8 @@ def test_scaling_covariance():
         scaled = IntegralLattice.from_rows([[s * e for e in row] for row in lat.basis])
         assert scaled.det_gram == lat.det_gram * s ** (2 * lat.n)
         rows = [[1, 1, 0, 0], [1, 0, 0, 1]]
-        sub = sublattice_from_rows(lat, rows)
-        ssub = sublattice_from_rows(scaled, [[s * e for e in r] for r in rows])
+        sub = Sublattice(lat, rows)
+        ssub = Sublattice(scaled, [[s * e for e in r] for r in rows])
         assert ssub.det_l == sub.det_l * s ** (2 * sub.l)
         assert gamma_ratio(lat, sub) == gamma_ratio(scaled, ssub)
 
