@@ -12,10 +12,13 @@ a lattice vector depends on x mod m only:
   of its class mod m in (-m/2, m/2].  The sum of the w_j**2 over a prefix
   is the least norm of any completion, and it prunes the walk.  For a
   Construction A lattice m = q, and the words are the codewords' minimal
-  lifts (Conway & Sloane, SPLAG ch. 5 section 2).  A prefix that spends
-  the whole budget leaves every later entry 0, so its word is completed
-  in one loop (c_k = -P_k / d_k), or dropped at the first d_k that does
-  not divide P_k.
+  lifts (Conway & Sloane, SPLAG ch. 5 section 2).  A level whose pivot is
+  m has at most one entry in (-m/2, m/2], and its row is m e_j (m e_j
+  lies in the lattice, and the HNF is reduced), so the walk fixes such
+  levels in a loop and branches only where a pivot is below m.  A prefix
+  that spends the whole budget leaves every later entry 0, so its word is
+  completed in one loop (c_k = -P_k / d_k), or dropped at the first d_k
+  that does not divide P_k.
 * The lifts.  The vectors congruent to a word w are w + m z.  Moving x_j
   off w_j costs at least m * (m - 2 |w_j|) more than w_j**2, so only the
   coordinates where that fits into the slack B - |w|**2 can move.  The
@@ -42,6 +45,7 @@ Three exact rules keep each lattice to about one walk:
   g * floor(B / g) lists exactly the vectors of norm <= B.  Only a request
   past the kept list (below) needs g.  It is read from the basis rows, and
   the 2 g_ij only until g <= 2, which divides them all; no Gram matrix.
+  A row d_j e_j has g_ij = d_j B_ij, and adds 2 d_j gcd(B_ij, i < j).
 * The Hermite start.  Every lattice of rank n has
   (lambda1**2)**n <= gamma_n**n * det, so for n <= 8 (where gamma_n**n is
   known exactly, HERMITE_POWER) lambda1**2 is at most the largest integer b
@@ -125,14 +129,18 @@ def _grain(basis) -> int:
     """gcd of the g_ii and the 2 g_ij of the basis rows' Gram matrix: every
     norm is a multiple of it.  The row norms g_ii come first, and the
     2 g_ij (over columns >= j only, the basis being triangular) only while
-    the gcd is above 2, since 1 and 2 divide every 2 g_ij."""
+    the gcd is above 2, since 1 and 2 divide every 2 g_ij.  A row d_j e_j
+    has g_ij = B_ij d_j, so its 2 g_ij, i < j, add 2 d_j gcd(B_ij) at once."""
     g = gcd(*(sum(map(mul, row, row)) for row in basis))
     for j in range(1, len(basis)):
-        tail = basis[j][j:]
-        for i in range(j):
-            if g <= 2:
-                return g
-            g = gcd(g, 2 * sum(map(mul, basis[i][j:], tail)))
+        if g <= 2:
+            return g
+        row = basis[j]
+        if any(row[j + 1 :]):
+            tail = row[j:]
+            g = gcd(g, *(2 * sum(map(mul, basis[i][j:], tail)) for i in range(j)))
+        else:
+            g = gcd(g, 2 * row[j] * gcd(*(basis[i][j] for i in range(j))))
     return g
 
 
@@ -179,13 +187,16 @@ def _walk(lattice: IntegralLattice, bound: int, cap: int) -> list[ShortVector]:
 
 
 class _Walk:
-    """The state of one `_walk`: the basis, the modulus, the bound, the cap
-    and the vectors emitted so far.  Its methods recurse at most 2n deep."""
+    """The state of one `_walk`: the basis's pivots d_j and row tails (the
+    nonzero (k, B_jk) with k > j), the modulus, the bound, the cap and the
+    vectors emitted so far.  `words` recurses only at levels whose pivot is
+    below m, and `lift` once per free entry, so the depth is at most 2n."""
 
-    __slots__ = ("basis", "m", "bound", "cap", "out")
+    __slots__ = ("pivots", "tails", "m", "bound", "cap", "out")
 
     def __init__(self, basis, m: int, bound: int, cap: int):
-        self.basis = basis
+        self.pivots = [row[j] for j, row in enumerate(basis)]
+        self.tails = [[(k, b) for k, b in enumerate(row[j + 1 :], j + 1) if b] for j, row in enumerate(basis)]
         self.m = m
         self.bound = bound
         self.cap = cap
@@ -194,48 +205,75 @@ class _Walk:
     def words(self, j: int, x: list[int], rest: int, self_negating: bool) -> None:
         """Walk the words whose first j entries are x[:j]; x[j:] holds the
         P_k of those entries, rest the budget they leave, and self_negating
-        whether each of them is 0 or m/2."""
-        basis = self.basis
-        m = self.m
-        row = basis[j]
-        d, p = row[j], x[j]
+        whether each of them is 0 or m/2.
+
+        Each entry of level j is followed, in a loop, by the forced levels
+        after it, whose pivot is m: a range of fewer than m integers holds
+        at most one entry of their class.  Such a row is m e_k (m e_k lies
+        in L, and the HNF is reduced), so fixing its entry moves no other
+        P, and only P_k mod m is read there; the walk writes the entry over
+        P_k and leaves it.  x is otherwise updated in place and restored.
+        The walk recurses only at the next level whose pivot is below m, and
+        hands a prefix that spent the budget, or a whole word, to `leaf`."""
+        pivots, tails, m = self.pivots, self.tails, self.m
+        n = len(pivots)
+        half, low = m // 2, (m - 1) // 2  # entries lie in [-low, half]
+        d, p = pivots[j], x[j]
         s = isqrt(rest)
-        hi = m // 2
-        if s < hi:
-            hi = s
-        if self_negating:
-            lo = 0
-        else:
-            lo = (m - 1) // 2
-            lo = -s if s < lo else -lo
-        last = j + 1 == len(basis)
+        hi = s if s < half else half
+        lo = 0 if self_negating else -(s if s < low else low)
+        tail = tails[j]
         for w in range(lo + (p - lo) % d, hi + 1, d):
+            x[j] = w
             c = (w - p) // d
-            y = [a + c * b for a, b in zip(x, row)] if c else x
+            if c:
+                for k, b in tail:
+                    x[k] += c * b
             left = rest - w * w
-            if left and not last:
-                self.words(j + 1, y, left, self_negating and (w == 0 or w + w == m))
-            else:
-                self.leaf(j + 1, y, left, self_negating and (w == 0 or w + w == m))
+            negating = self_negating and (w == 0 or w + w == m)
+            i = j + 1
+            while left and i < n and pivots[i] == m:
+                s = isqrt(left)
+                hi_i = s if s < half else half
+                u = 0 if negating else -(s if s < low else low)
+                u += (x[i] - u) % m
+                if u > hi_i:
+                    break
+                x[i] = u
+                left -= u * u
+                negating = negating and (u == 0 or u + u == m)
+                i += 1
+            else:  # no dead end: branch at level i, or list the word's lifts
+                if left and i < n:
+                    self.words(i, x, left, negating)
+                else:
+                    self.leaf(i, x, left, negating)
+            if c:
+                for k, b in tail:
+                    x[k] -= c * b
+        x[j] = p
 
     def leaf(self, j: int, x: list[int], slack: int, self_negating: bool) -> None:
         """List the lifts of the word whose first j entries are x[:j]; x[j:]
-        holds the P_k of those entries, and slack the budget they leave,
-        which is 0 unless j = n.  With no budget left every later entry is
-        0: c_k = -P_k / d_k, and no word at all if d_k does not divide P_k;
-        only its entries m/2 are then free."""
-        basis = self.basis
-        for k in range(j, len(basis)):
-            p = x[k]
+        holds the P_k of those entries (mod m where d_k = m), and slack the
+        budget they leave, which is 0 unless j = n.  With no budget left
+        every later entry is 0: c_k = -P_k / d_k, and no word at all if d_k
+        does not divide P_k; only its entries m/2 are then free.  The word
+        is completed in a copy of x, by the tails of the completed rows."""
+        pivots, tails = self.pivots, self.tails
+        v = x[:]
+        for k in range(j, len(pivots)):
+            p = v[k]
             if p:
-                row = basis[k]
-                c, r = divmod(p, row[k])
+                c, r = divmod(p, pivots[k])
                 if r:
                     return
-                x = [a - c * b for a, b in zip(x, row)]
+                v[k] = 0
+                for i, b in tails[k]:
+                    v[i] -= c * b
         m = self.m
-        free = [k for k, e in enumerate(x) if m * (m - 2 * abs(e)) <= slack]
-        self.lift(free, 0, x, slack, self_negating)
+        free = [k for k, e in enumerate(v) if m * (m - 2 * abs(e)) <= slack]
+        self.lift(free, 0, v, slack, self_negating)
 
     def lift(self, free: list[int], i: int, v: list[int], slack: int, positive: bool) -> None:
         """Emit the lifts of the word v that differ from it at free[i:] only;

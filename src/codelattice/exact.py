@@ -79,7 +79,8 @@ class Radical:
     Canonical form has a minimal root: whenever the radicand is a perfect
     p-th power for a prime p dividing the root, the root is reduced.  Two
     radicals are equal as reals iff their canonical forms coincide, so
-    comparison and hashing are structural.  Instances are immutable and
+    comparison and hashing are structural; a rational radical (root 1)
+    equals and hashes as its radicand.  Instances are immutable and
     safe to share between threads.  `<=` and `>=` come from
     `total_ordering`; `>` is written out, as propagation uses it on every
     step.
@@ -145,6 +146,9 @@ class Radical:
         return self.radicand == other.radicand and self.root == other.root
 
     def __hash__(self):
+        # a rational radical equals its radicand, so it hashes alike
+        if self.root == 1:
+            return hash(self.radicand)
         return hash((self.radicand, self.root))
 
     def __lt__(self, other):

@@ -123,8 +123,8 @@ MUTANTS = (
     (
         "word range stops below m/2",
         "enumeration.py",
-        "hi = m // 2",
-        "hi = (m - 1) // 2",
+        "half, low = m // 2, (m - 1) // 2",
+        "half, low = (m - 1) // 2, (m - 1) // 2",
         "test_enumeration",
     ),
     (
@@ -151,8 +151,29 @@ MUTANTS = (
     (
         "self-negating sign rule forgets m/2",
         "enumeration.py",
-        "self.words(j + 1, y, left, self_negating and (w == 0 or w + w == m))",
-        "self.words(j + 1, y, left, self_negating and w == 0)",
+        "negating = self_negating and (w == 0 or w + w == m)",
+        "negating = self_negating and w == 0",
+        "test_enumeration",
+    ),
+    (
+        "self-negating sign rule forgets m/2 at a forced level",
+        "enumeration.py",
+        "negating = negating and (u == 0 or u + u == m)",
+        "negating = negating and u == 0",
+        "test_enumeration",
+    ),
+    (
+        "forced level without its dead-end check",
+        "enumeration.py",
+        "if u > hi_i:\n                    break",
+        "if False:\n                    break",
+        "test_enumeration",
+    ),
+    (
+        "branching level's tail update not undone",
+        "enumeration.py",
+        "x[k] -= c * b",
+        "pass",
         "test_enumeration",
     ),
     (
@@ -181,6 +202,13 @@ MUTANTS = (
         "enumeration.py",
         "if g <= 2:",
         "if g <= 4:",
+        "test_enumeration",
+    ),
+    (
+        "grain of a row d_j e_j without its factor 2",
+        "enumeration.py",
+        "g = gcd(g, 2 * row[j] * gcd(",
+        "g = gcd(g, row[j] * gcd(",
         "test_enumeration",
     ),
     (

@@ -280,8 +280,37 @@ def test_matches_fraction_oracle_on_general_lattices():
     # C = <(2, 1)> over Z_4, whose builder reduces by D = q = 4.
     for lat in (IntegralLattice.from_rows([[2, 1], [0, 2]]), construction_a(LinearCode(4, 2, [[2, 1]]))):
         assert lat.basis == ((2, 1), (0, 2)) and lat._exponent is None
-        assert lat.exponent == 4
+        assert lat.exponent == 4  # no pivot is m: the walk branches at every level
         _assert_matches_oracle(lat, range(1, 26))
+
+
+def _interleaves(lat):
+    """Whether a forced level (pivot m) comes before a branching one."""
+    m, pivots = lat.exponent, [lat.basis[j][j] for j in range(lat.n)]
+    return any(d == m and min(pivots[j + 1 :], default=m) < m for j, d in enumerate(pivots))
+
+
+def test_matches_fraction_oracle_where_forced_and_branching_levels_interleave():
+    # the walk fixes levels whose pivot is m in a loop and branches at the
+    # rest: codes over Z_6 and Z_12 with m = q and pivots strictly between
+    # 1 and q, and a rows lattice whose pivots are 1, m, 1, m with m = 6
+    # even, so its forced entries reach m/2
+    rng = random.Random(43)
+    lats = []
+    for q in (6, 12):
+        found = 0
+        while found < 6:
+            lat = construction_a(_random_code(rng, n_max=4, q_choices=(q,)))
+            pivots = [lat.basis[j][j] for j in range(lat.n)]
+            if lat.exponent == q and any(1 < d < q for d in pivots) and _interleaves(lat):
+                lats.append(lat)
+                found += 1
+    rows = IntegralLattice.from_rows([[-3, 0, -3, 3], [0, 0, 3, -3], [-1, 2, -1, -1], [-2, -2, 2, -2]])
+    assert rows.basis == ((1, 4, 0, 4), (0, 6, 0, 0), (0, 0, 1, 3), (0, 0, 0, 6))
+    assert rows.exponent == 6 and _interleaves(rows)
+    for lat in lats + [rows]:
+        quarter = lat.exponent ** 2 // 4
+        _assert_matches_oracle(lat, sorted({max(1, quarter - 1), quarter, quarter + 1, lat.exponent ** 2}))
 
 
 def _dual_basis_exponent(lat):
@@ -354,13 +383,19 @@ def _words_calls(monkeypatch, lat):
 
 def test_spent_budget_ends_the_words(monkeypatch):
     # once a prefix spends the whole budget every later entry is 0, so the
-    # word is completed in one loop instead of one call per coordinate
-    lat = construction_a(reed_muller_code(1, 4))
-    assert _words_calls(monkeypatch, lat) <= 82
-    assert len(lat._short.vectors) == 16
-    lat = construction_a(parity_check_code(128, 2))
-    assert _words_calls(monkeypatch, lat) <= 16_257
-    assert (lat._short.bound, len(lat._short.vectors)) == (2, 128 * 127)
+    # word is completed in one loop instead of one call per coordinate; and
+    # the levels whose pivot is m are fixed in a loop, so `words` is called
+    # only for a level whose pivot is below m (E8 has four of each)
+    cases = [
+        (reed_muller_code(1, 3), 14, (4, 120)),
+        (reed_muller_code(1, 4), 15, (4, 16)),
+        (LinearCode(4, 8, [[3, 2, 3, 3, 0, 0, 2, 3], [2, 3, 1, 2, 0, 2, 1, 3], [0, 1, 0, 3, 1, 0, 1, 3]]), 14, (11, 23)),
+        (parity_check_code(128, 2), 8_128, (2, 128 * 127)),
+    ]
+    for code, calls, kept in cases:
+        lat = construction_a(code)
+        assert _words_calls(monkeypatch, lat) == calls, code
+        assert (lat._short.bound, len(lat._short.vectors)) == kept
 
 
 def test_matches_fraction_oracle_on_e8():

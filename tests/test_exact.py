@@ -151,6 +151,19 @@ def test_order_agrees_with_cross_powering():
             assert hash(x) == hash(y), (a, r, b, s)
 
 
+def test_rational_radical_hashes_as_its_value():
+    # equal objects hash alike, so sets and dicts find either one
+    rng = random.Random(19)
+    values = [0, 1, 2, Fraction(1, 2), Fraction(27, 8)]
+    values += [Fraction(rng.randint(0, 50), rng.randint(1, 50)) for _ in range(100)]
+    for v in values:
+        for x in (Radical(v), Radical(v * v, 2), Radical(v**3, 3)):
+            assert x == v and hash(x) == hash(v), (v, x)
+            assert v in {x} and x in {v} and {x: 1}[v] == 1
+    assert 2 in {Radical(2)} and Fraction(1, 2) in {Radical(Fraction(1, 2))}
+    assert Radical(2, 2) not in {2, Fraction(2), 1.4142135623730951}
+
+
 def test_pow_composition():
     rng = random.Random(11)
     for _ in range(200):
