@@ -178,7 +178,7 @@ def _cache_store(cache_dir, lattice, cert: SearchCertificate) -> None:
 
     key = _cache_key(lattice, cert.l)
     path = _cache_path(cache_dir, key)
-    doc = {**_certificate_doc(cert), "key": key, "tool_version": __version__}
+    doc = {**_certificate_doc(cert), "key": key}
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")

@@ -34,7 +34,6 @@ __all__ = [
     "rank2_code_bound",
     "dual_code",
     "is_self_dual",
-    "minimal_lift",
     "code_document",
     "code_from_document",
     "document_int",
@@ -133,19 +132,6 @@ class WeightReport(NamedTuple):
     max_lift_sq: int
 
 
-def minimal_lift(word, q: int) -> tuple[int, ...]:
-    """Shortest integer lift of a word in Z_q^n.
-
-    Entry a maps to a when a^2 <= (q-a)^2 and to a-q otherwise; the tie at
-    a = q/2 (q even) keeps +q/2, which makes the lift deterministic.
-    """
-    out = []
-    for a in word:
-        a %= q
-        out.append(a if a * a <= (q - a) * (q - a) else a - q)
-    return tuple(out)
-
-
 def weight_report(code: LinearCode, cap: int = DEFAULT_CAP) -> WeightReport:
     """Exhaustive weight data, cached on `code`; raises EnumerationCap
     above the cap, on every call, whether or not the report is cached."""
@@ -159,7 +145,8 @@ def weight_report(code: LinearCode, cap: int = DEFAULT_CAP) -> WeightReport:
 
 def _weights(code: LinearCode) -> WeightReport:
     """One pass over the codewords; sq holds the squared entries of a
-    word's shortest lift (`minimal_lift`), all 0 for the zero word."""
+    word's shortest lift, min(a, q - a)**2 per entry, all 0 for the zero
+    word."""
     q = code.q
     d_h = d_e = b2 = None
     for w in code.codewords():

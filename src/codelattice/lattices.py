@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, prod
-from operator import index, mul
+from math import gcd, isqrt, lcm, prod
+from operator import attrgetter, index, mul
 
 from .exact import Radical
 
@@ -111,7 +111,8 @@ def _integer_rows(rows) -> list[list[int]]:
 def hnf(rows, modulus: int) -> list[list[int]]:
     """Row-style Hermite normal form of the span L of integer rows, given a
     modulus D with D Z^n inside L (Cohen, GTM 138, section 2.4.2), which the
-    caller proves: q for a code lattice and its dual, det(R^T R) for rows R.
+    caller proves: q for a code lattice and its dual, |det R| for square
+    rows R, det(R^T R) for other rows.
 
     Column j starts its pivot p at D e_j and folds in each row r with a
     nonzero entry at j by one unimodular xgcd step: p takes the gcd d, r
@@ -196,6 +197,11 @@ def _check_hnf(basis) -> None:
                 )
 
 
+def _pivots(basis) -> list[int]:
+    """The diagonal d_j of a triangular basis."""
+    return [row[j] for j, row in enumerate(basis)]
+
+
 def _pinned_exponent(pivots, modulus: int) -> int | None:
     """The exponent m of Z^n / L, the least m with m Z^n inside L, when the
     pivots d_j of the HNF of L and a D with D Z^n inside L pin it; else None.
@@ -210,31 +216,38 @@ def _pinned_exponent(pivots, modulus: int) -> int | None:
 class IntegralLattice:
     """Full-rank integral lattice with a canonical HNF basis.
 
-    Immutable after construction; all methods are pure.  `_gram` holds
-    the Gram matrix once `gram` is first read, since many lattices never
-    need it: a cache hit, a table that reads only `det_gram`, or a search
-    that `_short` serves (enumeration walks the basis itself).  `_short`
-    caches the `ShortVectorList` that `enumeration.lattice_minimum`
-    enumerated for this lattice, from which `enumeration.short_vectors`
-    serves every request within its bound.  `_exponent` keeps `exponent`
-    once it is known.
+    Immutable after construction; all methods are pure.  The basis is the
+    one stored fact: `basis` is a read-only view of it, and `n`, `det_gram`
+    and `gram` are computed from it on each read.  Two caches remain, which
+    the walks re-read.  `_short` caches the `ShortVectorList` that
+    `enumeration.lattice_minimum` enumerated for this lattice, from which
+    `enumeration.short_vectors` serves every request within its bound.
+    `_exponent` keeps `exponent` once it is known.
     """
 
-    __slots__ = ("n", "basis", "det_gram", "_gram", "_short", "_exponent")
+    __slots__ = ("_basis", "_short", "_exponent")
+
+    basis = property(attrgetter("_basis"))
 
     def __init__(self, basis):
         """basis must be the row HNF that `hnf` returns:
         square, zero below the diagonal, positive pivots, and entries above
         each pivot in [0, pivot).  Use `from_rows` for arbitrary rows."""
-        self.basis = tuple(tuple(map(index, row)) for row in basis)
-        self.n = len(self.basis)
-        _check_hnf(self.basis)
-        pivots = [self.basis[i][i] for i in range(self.n)]
-        d = prod(pivots)
-        self.det_gram = d * d
-        self._gram = None
+        self._basis = basis = tuple(tuple(map(index, row)) for row in basis)
+        _check_hnf(basis)
+        pivots = _pivots(basis)
         self._short = None
-        self._exponent = _pinned_exponent(pivots, d)
+        self._exponent = _pinned_exponent(pivots, prod(pivots))
+
+    @property
+    def n(self) -> int:
+        """The dimension: the number of basis rows."""
+        return len(self._basis)
+
+    @property
+    def det_gram(self) -> int:
+        """det(B B^T) = (det B)**2, the squared product of the pivots."""
+        return prod(_pivots(self._basis)) ** 2
 
     @property
     def exponent(self) -> int:
@@ -246,44 +259,45 @@ class IntegralLattice:
         d = det B, and keeps it."""
         m = self._exponent
         if m is None:
-            d = prod(self.basis[j][j] for j in range(self.n))
+            d = prod(_pivots(self._basis))
             m = self._exponent = d // gcd(d, *chain.from_iterable(dual_basis(self, d)))
         return m
 
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The Gram matrix B B^T of the HNF basis B, built on first read."""
-        g = self._gram
-        if g is None:
-            g = self._gram = tuple(tuple(r) for r in gram_matrix(self.basis))
-        return g
+        """The Gram matrix B B^T of the HNF basis B, built on each read."""
+        return tuple(map(tuple, gram_matrix(self._basis)))
 
     @classmethod
     def from_rows(cls, rows) -> "IntegralLattice":
         """Lattice L spanned by integer rows R; raises RankDeficient if the
         span does not have full rank in its ambient dimension.
 
-        The HNF modulus is D = det(R^T R), the sum of the squared n-minors
-        of R (Cauchy-Binet).  Each minor is a multiple of det L, so D Z^n
-        lies in L, and the sum is 0 exactly when the rank is below n.  D is
-        a multiple of det B**2, so it pins no exponent the pivots do not."""
+        The HNF modulus D comes from det(R^T R), the sum of the squared
+        n-minors of R (Cauchy-Binet).  Each minor is a multiple of det L,
+        and the sum is 0 exactly when the rank is below n.  A square R has
+        one minor, det R, so D = isqrt(det(R^T R)) = |det R| = det L, half
+        the bits; any other R keeps D = det(R^T R), a multiple of det L.
+        Either way D Z^n lies in L, and D is a multiple of det B, so it
+        pins no exponent the pivots do not."""
         rows = _integer_rows(rows)
-        return cls(hnf(rows, det_int(gram_matrix(list(zip(*rows))))))
+        d = det_int(gram_matrix(list(zip(*rows))))
+        return cls(hnf(rows, isqrt(d) if len(rows) == len(rows[0]) else d))
 
     def coefficients_of(self, v) -> list[int] | None:
         """Integer coordinates of v in the basis, or None if not a member."""
         v = list(map(index, v))
-        if len(v) != self.n:
+        if len(v) != len(self._basis):
             return None
         coeffs = []
-        for i in range(self.n):
-            d = self.basis[i][i]
+        for i, row in enumerate(self._basis):
+            d = row[i]
             if v[i] % d:
                 return None
             c = v[i] // d
             coeffs.append(c)
             if c:
-                v = [e - c * be for e, be in zip(v, self.basis[i])]
+                v = [e - c * be for e, be in zip(v, row)]
         if any(v):
             return None
         return coeffs
@@ -292,10 +306,10 @@ class IntegralLattice:
         return self.coefficients_of(v) is not None
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntegralLattice) and self.basis == other.basis
+        return isinstance(other, IntegralLattice) and self._basis == other._basis
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash(self._basis)
 
     def __repr__(self) -> str:
         return f"IntegralLattice(n={self.n}, det_gram={self.det_gram})"
@@ -311,8 +325,7 @@ def construction_a(code) -> IntegralLattice:
     """
     lattice = IntegralLattice(hnf(code.generators or [[0] * code.n], code.q))
     if lattice._exponent is None:
-        pivots = [lattice.basis[i][i] for i in range(lattice.n)]
-        lattice._exponent = _pinned_exponent(pivots, code.q)
+        lattice._exponent = _pinned_exponent(_pivots(lattice.basis), code.q)
     return lattice
 
 
@@ -331,9 +344,15 @@ class Sublattice:
 
     The constructor proves what it stores: each row is a member (else
     NotInLattice) and the rows have full rank (else RankDeficient); the
-    Gram matrix and its determinant are computed from the rows."""
+    Gram matrix and its determinant are computed from the rows.  ambient,
+    rows and det_l are read-only views, and l is read from the rows, so
+    none can be set apart from the proof."""
 
-    __slots__ = ("ambient", "rows", "det_l", "l")
+    __slots__ = ("_ambient", "_rows", "_det_l")
+
+    ambient = property(attrgetter("_ambient"))
+    rows = property(attrgetter("_rows"))
+    det_l = property(attrgetter("_det_l"))
 
     def __init__(self, ambient: IntegralLattice, rows):
         rows = tuple(tuple(map(index, r)) for r in rows)
@@ -343,10 +362,14 @@ class Sublattice:
         det = det_int(gram_matrix(rows))
         if det <= 0:
             raise RankDeficient(f"rows span less than rank {len(rows)}")
-        self.ambient = ambient
-        self.rows = rows
-        self.det_l = det
-        self.l = len(rows)
+        self._ambient = ambient
+        self._rows = rows
+        self._det_l = det
+
+    @property
+    def l(self) -> int:
+        """The rank: the number of rows."""
+        return len(self._rows)
 
     def __repr__(self) -> str:
         return f"Sublattice(l={self.l}, det_l={self.det_l})"

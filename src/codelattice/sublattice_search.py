@@ -120,8 +120,9 @@ class SearchCertificate:
     of `lattice` spanning a sublattice of Gram determinant `value` (else
     CertificateError, NotInLattice or RankDeficient).  That proves
     value >= d_l, not value == d_l; per_vector_bound and examined are stored
-    as given.  l and value are read from the witness, so they cannot be
-    set apart from it.
+    as given.  All five are read-only: witness, per_vector_bound and
+    candidates_examined are views of private slots, and l and value are
+    read from the witness, so none can be set apart from the proof.
 
     The class constant confirmed_by_escalation is always True, as every
     returned value is proven.  No certificate document carries it; it stays
@@ -129,13 +130,15 @@ class SearchCertificate:
     change removes it together with the upper_hint keyword.
     """
 
-    __slots__ = ("witness", "per_vector_bound", "candidates_examined")
+    __slots__ = ("_witness", "_per_vector_bound", "_candidates_examined")
 
     confirmed_by_escalation = True
 
-    # read-only views of the witness the constructor proved
-    l = property(attrgetter("witness.l"))
-    value = property(attrgetter("witness.det_l"))
+    witness = property(attrgetter("_witness"))
+    per_vector_bound = property(attrgetter("_per_vector_bound"))
+    candidates_examined = property(attrgetter("_candidates_examined"))
+    l = property(attrgetter("_witness.l"))
+    value = property(attrgetter("_witness.det_l"))
 
     def __init__(self, lattice: IntegralLattice, l, value, rows, per_vector_bound, examined):
         l, value = index(l), index(value)
@@ -146,9 +149,9 @@ class SearchCertificate:
             raise CertificateError(
                 f"witness determinant {witness.det_l} differs from the value {value}"
             )
-        self.witness = witness
-        self.per_vector_bound = index(per_vector_bound)
-        self.candidates_examined = index(examined)
+        self._witness = witness
+        self._per_vector_bound = index(per_vector_bound)
+        self._candidates_examined = index(examined)
 
     def __repr__(self) -> str:
         return f"SearchCertificate(l={self.l}, value={self.value})"

@@ -42,6 +42,27 @@ MUTANTS = (
         "test_lattices",
     ),
     (
+        "IntegralLattice: basis writable",
+        "lattices.py",
+        'basis = property(attrgetter("_basis"))',
+        'basis = property(attrgetter("_basis"), lambda self, v: setattr(self, "_basis", v))',
+        "test_lattices",
+    ),
+    (
+        "Sublattice: det_l writable",
+        "lattices.py",
+        'det_l = property(attrgetter("_det_l"))',
+        'det_l = property(attrgetter("_det_l"), lambda self, v: setattr(self, "_det_l", v))',
+        "test_lattices",
+    ),
+    (
+        "SearchCertificate: witness writable",
+        "sublattice_search.py",
+        'witness = property(attrgetter("_witness"))',
+        'witness = property(attrgetter("_witness"), lambda self, v: setattr(self, "_witness", v))',
+        "test_search",
+    ),
+    (
         "LinearCode: family label writable",
         "codes.py",
         'family = property(attrgetter("_family"))',
@@ -250,8 +271,15 @@ MUTANTS = (
     (
         "from_rows modulus taken from the first n rows",
         "lattices.py",
-        "return cls(hnf(rows, det_int(gram_matrix(list(zip(*rows))))))",
-        "return cls(hnf(rows, det_int(gram_matrix(rows[: len(rows[0])]))))",
+        "d = det_int(gram_matrix(list(zip(*rows))))",
+        "d = det_int(gram_matrix(rows[: len(rows[0])]))",
+        "test_lattices",
+    ),
+    (
+        "from_rows square-root modulus for non-square rows",
+        "lattices.py",
+        "isqrt(d) if len(rows) == len(rows[0]) else d",
+        "isqrt(d)",
         "test_lattices",
     ),
     (
@@ -292,8 +320,8 @@ MUTANTS = (
     (
         "builder's modulus dropped",
         "lattices.py",
-        "lattice._exponent = _pinned_exponent(pivots, code.q)",
-        "lattice._exponent = _pinned_exponent(pivots, prod(pivots))",
+        "lattice._exponent = _pinned_exponent(_pivots(lattice.basis), code.q)",
+        "lattice._exponent = _pinned_exponent(_pivots(lattice.basis), lattice.det_gram)",
         "test_enumeration",
     ),
     (

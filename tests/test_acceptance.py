@@ -279,8 +279,8 @@ def test_criterion_8_open_constants_statement(capfd):
 
 
 def test_criterion_9_dense_documents_build_in_seconds():
-    # entries of the HNF stay below its modulus: q for a code, det(R^T R)
-    # for rows, so dense documents inside the size bound build at once
+    # entries of the HNF stay below its modulus: q for a code, |det R| for
+    # square rows, so dense documents inside the size bound build at once
     t0 = time.perf_counter()
     rng = random.Random(9)
     gens = [[rng.randrange(5) for _ in range(64)] for _ in range(32)]

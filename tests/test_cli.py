@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import codelattice
-from codelattice.cli import _flatten, main
+from codelattice.cli import _certificate_doc, _flatten, main
 
 
 @pytest.fixture()
@@ -55,16 +55,32 @@ def test_cache_round_trip(cache, capsys):
 
 
 def test_entry_with_escalation_field_is_served(cache, capsys):
-    # entries written before the field left the document still load
+    # entries written before a field left the document still load: the
+    # escalation flag, and the tool version that no reader ever read
     argv = ["dl", "--family", "parity_check", "--n", "4", "--q", "2", "--l", "2", "--format", "json"]
     _, cold_out, _ = _run(capsys, argv)
     [entry] = cache.rglob("*.json")
     stored = json.loads(entry.read_text())
-    assert "confirmed_by_escalation" not in stored
-    entry.write_text(json.dumps(dict(stored, confirmed_by_escalation=True)))
-    code, out, err = _run(capsys, argv)
-    assert (code, err) == (0, "")
-    assert json.loads(out) == dict(json.loads(cold_out), cached=True)
+    assert set(stored) == {
+        "l", "value", "witness_rows", "per_vector_bound", "candidates_examined", "key",
+    }
+    for retired in ({"confirmed_by_escalation": True}, {"tool_version": "0.1.0"}):
+        entry.write_text(json.dumps(dict(stored, **retired)))
+        code, out, err = _run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == dict(json.loads(cold_out), cached=True)
+
+
+def test_a_stored_certificate_cannot_be_forged():
+    # the cache writes what _certificate_doc reads from a certificate; the
+    # witness and its determinant are read-only, so D4's d_2 stays 3
+    d4 = codelattice.construction_a(codelattice.parity_check_code(4, 2))
+    cert = codelattice.minimal_sublattice(d4, 2)
+    with pytest.raises(AttributeError):
+        cert.witness.det_l = 1
+    with pytest.raises(AttributeError):
+        cert.witness = codelattice.Sublattice(d4, [[1, 1, 0, 0], [1, -1, 0, 0]])
+    assert _certificate_doc(cert)["value"] == cert.value == 3
 
 
 @pytest.mark.parametrize(

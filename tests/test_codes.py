@@ -16,7 +16,6 @@ from codelattice.codes import (
     dual_code,
     extended_hamming_code,
     full_code,
-    minimal_lift,
     parity_check_code,
     rank2_code_bound,
     read_spec,
@@ -47,12 +46,6 @@ def test_parity_check_examples():
     words = c43.codewords()
     assert len(words) == 27
     assert weight_report(c43).d_euclidean == 2
-
-
-def test_minimal_lift():
-    assert minimal_lift((0, 1, 2, 3), 4) == (0, 1, 2, -1)
-    assert minimal_lift((0, 1, 2), 3) == (0, 1, -1)
-    assert minimal_lift((3,), 5) == (-2,)
 
 
 def test_reed_muller_generators():

@@ -478,7 +478,8 @@ def test_hermite_start_matches_brute_force():
     cases += [_random_full_rank(rng, rng.randint(1, 6)) for _ in range(30)]
     below = 0
     for lat, row_norm in cases:
-        diag = min(lat.gram[i][i] for i in range(lat.n))
+        gram = lat.gram
+        diag = min(gram[i][i] for i in range(lat.n))
         best = fraction_short_vectors(lat, min(diag, row_norm)).vectors[0]
         assert lattice_minimum(lat) == (best.norm, best.coords), lat.basis
         b = _hermite_radius(lat)

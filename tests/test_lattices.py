@@ -60,7 +60,7 @@ def test_hnf_canonical_reduction():
 
 def test_hnf_matches_xgcd_oracle():
     # the kernel modulo D against the xgcd elimination it replaced: codes over
-    # prime and composite q, their duals, and rows whose modulus is det(R^T R)
+    # prime and composite q, their duals, and rows of every shape
     rng = random.Random(13)
     for _ in range(300):
         q = rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 16, 25, 27))
@@ -73,6 +73,7 @@ def test_hnf_matches_xgcd_oracle():
         dual = dual_basis(lat, q)
         assert hnf(dual, q) == oracle_hnf(dual)[0]
     deficient = 0
+    full_rank = {True: 0, False: 0}  # square R: modulus |det R|; else det(R^T R)
     for _ in range(300):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(max(n - 1, 1), n + 3))]
@@ -82,8 +83,23 @@ def test_hnf_matches_xgcd_oracle():
             with pytest.raises(RankDeficient):
                 IntegralLattice.from_rows(rows)
         else:
+            full_rank[len(rows) == n] += 1
             assert list(map(list, IntegralLattice.from_rows(rows).basis)) == h
-    assert 20 < deficient < 280
+    assert 20 < deficient < 280 and min(full_rank.values()) > 40
+
+
+def test_from_rows_modulus(monkeypatch):
+    # a square R reduces modulo |det R| = det L, half the bits of
+    # det(R^T R); other rows keep det(R^T R): for R = (3, 3)^T,
+    # isqrt(18) = 4 is no multiple of det L = 3
+    from codelattice import lattices
+
+    moduli = []
+    real = lattices.hnf
+    monkeypatch.setattr(lattices, "hnf", lambda rows, m: moduli.append(m) or real(rows, m))
+    assert IntegralLattice.from_rows([[1, 3], [2, 1]]).basis == ((1, 3), (0, 5))
+    assert IntegralLattice.from_rows([[3], [3]]).basis == ((3,),)
+    assert moduli == [5, 18]
 
 
 def _unimodular_disguise(rng, rows) -> list[list[int]]:
@@ -243,6 +259,23 @@ def test_sublattice_errors():
         Sublattice(d4, [[1, 0, 0, 0]], [[1]], 1)
 
 
+def test_a_sublattice_is_read_only():
+    # what the constructor proved stays proved: det_l = 1 would forge a
+    # rank-1 sublattice of D4 below its minimum 2
+    d4 = construction_a(parity_check_code(4, 2))
+    sub = Sublattice(d4, [[1, 1, 0, 0]])
+    assert Sublattice.__slots__ == ("_ambient", "_rows", "_det_l")
+    for name, value in (
+        ("ambient", construction_a(full_code(4, 2))),
+        ("rows", ((1, 0, 0, 0),)),
+        ("det_l", 1),
+        ("l", 2),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(sub, name, value)
+    assert (sub.ambient, sub.rows, sub.det_l, sub.l) == (d4, ((1, 1, 0, 0),), 2, 1)
+
+
 def test_gamma_ratio_examples():
     from codelattice.codes import reed_muller_generators
 
@@ -332,15 +365,26 @@ def test_det_int_matches_diagonal_square():
         assert det_int([list(r) for r in lat.gram]) == lat.det_gram
 
 
-def test_gram_built_on_first_read_only():
+def test_gram_computed_from_the_basis():
     lat = construction_a(reed_muller_code(1, 3))
     assert lat.det_gram == 256 and hash(lat) == hash(lat.basis)
     assert lat == IntegralLattice(lat.basis)
-    assert lat._gram is None
-    gram = lat.gram
     rows = lat.basis
-    assert gram == tuple(tuple(sum(a * b for a, b in zip(u, v)) for v in rows) for u in rows)
-    assert lat.gram is gram
+    assert lat.gram == tuple(tuple(sum(a * b for a, b in zip(u, v)) for v in rows) for u in rows)
+
+
+def test_a_lattice_stores_its_basis_alone():
+    # n, det_gram and gram are computed from the basis, and the basis is
+    # read-only, so none can be set apart from it: Z^4 cannot become a
+    # basis of D4 whose det_gram stays 4
+    d4 = construction_a(parity_check_code(4, 2))
+    assert IntegralLattice.__slots__ == ("_basis", "_short", "_exponent")
+    z4 = IntegralLattice.from_rows([[int(i == j) for j in range(4)] for i in range(4)])
+    for name in ("basis", "n", "det_gram", "gram"):
+        with pytest.raises(AttributeError):
+            setattr(d4, name, getattr(z4, name))
+    assert (d4.n, d4.det_gram) == (4, 4) and d4.basis != z4.basis
+    assert d4 == construction_a(parity_check_code(4, 2)) and z4.det_gram == 1
 
 
 def test_constructor_rejects_non_hnf_basis():

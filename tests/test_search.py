@@ -27,6 +27,7 @@ from codelattice.lattices import (
     IntegralLattice,
     NotInLattice,
     RankDeficient,
+    Sublattice,
     construction_a,
     det_int,
     gram_matrix,
@@ -351,11 +352,15 @@ def test_certificate_constructor_checks_its_witness():
     d4 = construction_a(parity_check_code(4, 2))
     cert = SearchCertificate(d4, 1, 2, [[1, 1, 0, 0]], 2, 1)
     assert rankin_invariant(d4, cert) == Radical(2, 2)  # d_1 / det**(1/4)
-    # l and value are the witness's, and cannot be set apart from it
+    # l and value are the witness's, and neither they, the witness nor the
+    # two counts can be set apart from what was proved
     assert (cert.l, cert.value) == (cert.witness.l, cert.witness.det_l) == (1, 2)
-    for name in ("l", "value"):
+    for name in ("l", "value", "per_vector_bound", "candidates_examined"):
         with pytest.raises(AttributeError):
             setattr(cert, name, 1)
+    with pytest.raises(AttributeError):
+        cert.witness = Sublattice(d4, [[2, 0, 0, 0]])
+    assert (cert.l, cert.value, cert.per_vector_bound, cert.candidates_examined) == (1, 2, 2, 1)
     # (1,0,0,0) is not in D4: the forged d_1 = 1 would give (1/2)**(1/2)
     with pytest.raises(NotInLattice):
         SearchCertificate(d4, 1, 1, [[1, 0, 0, 0]], 0, 0)
@@ -548,13 +553,21 @@ def test_top_ranks_match_closed_forms():
     assert compared == 117
 
 
-def test_search_within_the_kept_list_builds_no_gram_matrix():
+def _no_gram(monkeypatch):
+    """Make reading `IntegralLattice.gram` fail for the rest of the test."""
+
+    def gram(lattice):
+        raise AssertionError("the search read the Gram matrix")
+
+    monkeypatch.setattr(IntegralLattice, "gram", property(gram))
+
+
+def test_search_within_the_kept_list_builds_no_gram_matrix(monkeypatch):
     # E8 at l = 1 and 2 reads only lambda_1's kept list, so no request
     # passes its bound and needs the norm grain
+    _no_gram(monkeypatch)
     for l in (1, 2):
-        lat = construction_a(reed_muller_code(1, 3))
-        minimal_sublattice(lat, l)
-        assert lat._gram is None
+        minimal_sublattice(construction_a(reed_muller_code(1, 3)), l)
 
 
 def test_unchanged_pool_is_scanned_once(monkeypatch):
@@ -574,11 +587,10 @@ def test_unchanged_pool_is_scanned_once(monkeypatch):
             super().__init__(vectors, l)
 
     monkeypatch.setattr(sublattice_search, "_Scan", Counted)
-    lat = construction_a(reed_muller_code(1, 4))
-    cert = minimal_sublattice(lat, 2)
+    _no_gram(monkeypatch)
+    cert = minimal_sublattice(construction_a(reed_muller_code(1, 4)), 2)
     assert scans == [16]
     assert (cert.value, cert.per_vector_bound, cert.candidates_examined) == (16, 5, 120)
-    assert lat._gram is None
 
 
 def test_pools_freed_without_cyclic_gc():
